@@ -978,6 +978,8 @@ fn shard_scaling(opts: &Opts) {
                 out.shards.to_string(),
                 out.cut_links.to_string(),
                 out.events.to_string(),
+                out.sync.windows.to_string(),
+                out.events_per_window().map_or("-".to_string(), |e| format!("{e:.1}")),
                 format!("{:.1}", out.wall_secs * 1e3),
                 format!("{:.0}", out.events_per_sec()),
                 base.as_ref().map_or("1.00x".to_string(), |b| {
@@ -996,7 +998,16 @@ fn shard_scaling(opts: &Opts) {
         println!(
             "{}",
             table::render(
-                &["shards", "cut links", "events", "wall ms", "events/s", "vs serial"],
+                &[
+                    "shards",
+                    "cut links",
+                    "events",
+                    "windows",
+                    "events/window",
+                    "wall ms",
+                    "events/s",
+                    "vs serial"
+                ],
                 &rows
             )
         );

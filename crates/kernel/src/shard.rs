@@ -28,15 +28,19 @@
 //! eviction matches the serial ring, so even the trace stream (and its
 //! drop count) is bit-identical. DESIGN.md §14 gives the full argument.
 //!
-//! **Threading.** Plain `std::thread::scope` workers — one per shard —
-//! plus a generation-counting spin barrier; no async runtime. Workers
-//! only ever run inside `run_window`; the coordinator owns everything
-//! between barriers. `Simulation` is not `Send` (components hold `Rc`
-//! harness handles), so shards live in [`ShardCell`]s whose safety
-//! invariant is documented below.
+//! **Threading.** Plain `std::thread::scope` workers for shards `1..n`,
+//! plus a generation-counting spin barrier; no async runtime. The
+//! coordinator thread runs shard 0 itself — the shard holding the host
+//! cluster and the workload apps, so those run on the thread that built
+//! their `Rc` handles — and owns everything between barriers. Workers
+//! only ever run inside `run_window`. `Simulation` is not `Send`
+//! (components hold `Rc` harness handles), so shards live in
+//! [`ShardCell`]s whose safety invariant is documented below. A panic on
+//! any shard poisons the barrier, so every other thread stops waiting and
+//! the original panic propagates out of [`ShardedSimulator::run`].
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::{Cell, UnsafeCell};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::calendar::CalendarQueue;
@@ -125,21 +129,28 @@ pub struct ShardPlan {
 /// with the build-time harness, and all kernel state is `Cell`/`RefCell`).
 /// The driver upholds exclusive access by construction:
 ///
-/// * between barriers, *only* shard `i`'s worker touches shard `i` (and
-///   only via `run_window`);
-/// * outside the worker phase, *only* the coordinator thread touches any
-///   shard;
+/// * during a window, *only* shard `i`'s worker touches shard `i >= 1`
+///   (and only via `run_window`), and *only* the coordinator touches
+///   shard 0 — it runs shard 0's window itself;
+/// * between windows, *only* the coordinator thread touches any shard;
 /// * the spin barrier's acquire/release pairs order those phases, so all
 ///   writes made by one side are visible to the other;
 /// * `Rc` clones held by harness code (workload handles, config spaces)
 ///   are only dereferenced by the shard that owns their components —
 ///   the partitioner places every component of such a cluster in one
-///   shard — or by the coordinator outside `run`.
+///   shard — or by the coordinator outside `run`. The host cluster and
+///   workload apps live in shard 0, so they never leave the coordinator
+///   thread that built them.
 struct ShardCell(UnsafeCell<Simulation>);
 
 // SAFETY: see the invariant above — access is phase-exclusive, never
 // actually concurrent, and the barrier provides the happens-before edges.
 unsafe impl Sync for ShardCell {}
+
+/// [`SpinBarrier::wait`] failed: another party panicked and will never
+/// arrive.
+#[derive(Debug)]
+struct Poisoned;
 
 /// A generation-counting hybrid barrier for `parties` threads. Windows
 /// are typically tens of microseconds of work, so each waiter spins a
@@ -151,10 +162,18 @@ unsafe impl Sync for ShardCell {}
 /// parked waiter instead guarantees an immediate handoff. On an
 /// oversubscribed host the spin phase is pointless by construction, so
 /// it is skipped entirely (`spin_limit` 0).
+///
+/// The releaser touches the mutex and makes the futex wake only when a
+/// waiter is actually parked (`sleepers != 0`), so a rendezvous won in
+/// the spin phase costs no syscall at all.
 struct SpinBarrier {
     parties: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
+    /// Waiters that committed to parking on `cv` and have not left yet.
+    sleepers: AtomicUsize,
+    /// Set by [`SpinBarrier::poison`] when a party panics.
+    poisoned: AtomicBool,
     /// Iterations to busy-wait before parking; 0 when `parties` exceeds
     /// the host's core count.
     spin_limit: u32,
@@ -168,45 +187,101 @@ impl SpinBarrier {
 
     fn new(parties: usize) -> Self {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Self::with_spin_limit(parties, if cores >= parties { Self::SPIN_LIMIT } else { 0 })
+    }
+
+    fn with_spin_limit(parties: usize, spin_limit: u32) -> Self {
         Self {
             parties,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
-            spin_limit: if cores >= parties { Self::SPIN_LIMIT } else { 0 },
+            sleepers: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            spin_limit,
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
-    fn wait(&self) {
+    /// Blocks until all `parties` have arrived, or fails once the barrier
+    /// is poisoned.
+    fn wait(&self) -> Result<(), Poisoned> {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             self.arrived.store(0, Ordering::Relaxed);
-            // Publish the new generation under the lock so a waiter that
-            // checked it just before parking cannot miss the wakeup.
-            let guard = self.lock.lock().expect("barrier lock");
-            self.generation.store(gen.wrapping_add(1), Ordering::Release);
-            drop(guard);
-            self.cv.notify_all();
-        } else {
-            let mut spins = 0u32;
-            loop {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    return;
-                }
-                if spins < self.spin_limit {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    let mut guard = self.lock.lock().expect("barrier lock");
-                    while self.generation.load(Ordering::Acquire) == gen {
-                        guard = self.cv.wait(guard).expect("barrier condvar");
-                    }
-                    return;
-                }
+            // Dekker pairing with the parker below: the releaser stores
+            // the generation then loads `sleepers`; a parker increments
+            // `sleepers` then loads the generation, all SeqCst. At least
+            // one of them sees the other's write, so either the parker
+            // never sleeps or the releaser wakes it. Taking the lock
+            // before the notify orders it after the parker is inside
+            // `cv.wait` (it counted itself while holding the lock).
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) != 0 {
+                drop(self.lock.lock().expect("barrier lock"));
+                self.cv.notify_all();
             }
+            return Ok(());
+        }
+        let mut spins = 0u32;
+        loop {
+            if self.generation.load(Ordering::Acquire) != gen {
+                return Ok(());
+            }
+            if self.poisoned.load(Ordering::Acquire) {
+                return Err(Poisoned);
+            }
+            if spins < self.spin_limit {
+                spins += 1;
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut guard = self.lock.lock().expect("barrier lock");
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            while self.generation.load(Ordering::SeqCst) == gen
+                && !self.poisoned.load(Ordering::SeqCst)
+            {
+                guard = self.cv.wait(guard).expect("barrier condvar");
+            }
+            // Relaxed: the count publishes no data, and a releaser that
+            // still sees this waiter only makes a spurious wake.
+            self.sleepers.fetch_sub(1, Ordering::Relaxed);
         }
     }
+
+    /// Breaks the barrier for good: every current and future waiter
+    /// returns [`Poisoned`]. Called by a party that is unwinding.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        drop(self.lock.lock().expect("barrier lock"));
+        self.cv.notify_all();
+    }
+}
+
+/// Poisons the barrier if dropped while its thread unwinds, so the other
+/// parties stop waiting for a thread that will never arrive.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// Synchronization counters of the multi-shard driver. They are kept out
+/// of [`ShardedSimulator::stats`] so the sharded statistics stay
+/// identical to the serial run's; like the schedule itself, they are a
+/// pure function of the topology and the shard count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyncStats {
+    /// Lockstep windows run (a 1-shard driver runs serially: none).
+    pub windows: u64,
+    /// Cross-shard messages delivered through the mailboxes.
+    pub mailbox_messages: u64,
+    /// (window, shard) pairs in which the shard had no event to run.
+    pub idle_shard_windows: u64,
 }
 
 /// Drives one logical simulation split across N [`Simulation`] shards,
@@ -224,6 +299,8 @@ pub struct ShardedSimulator {
     /// every window.
     tracer: Tracer,
     names: Vec<String>,
+    /// Cumulative window/mailbox counters (see [`SyncStats`]).
+    sync: Cell<SyncStats>,
 }
 
 impl ShardedSimulator {
@@ -265,6 +342,7 @@ impl ShardedSimulator {
             now: 0,
             tracer: Tracer::new(),
             names,
+            sync: Cell::new(SyncStats::default()),
         }
     }
 
@@ -347,6 +425,18 @@ impl ShardedSimulator {
         StatsSnapshot::from_values(all)
     }
 
+    /// Windows, mailbox messages and idle-shard windows accumulated over
+    /// every [`ShardedSimulator::run`] of this driver so far.
+    pub fn sync_stats(&self) -> SyncStats {
+        self.sync.get()
+    }
+
+    fn tally(&self, count: impl FnOnce(&mut SyncStats)) {
+        let mut sync = self.sync.get();
+        count(&mut sync);
+        self.sync.set(sync);
+    }
+
     /// Runs until every queue drains, `until` is reached, a component
     /// requests a stop, or `max_events` dispatches happen. Semantics
     /// match [`Simulation::run`] except that stop requests and the event
@@ -372,66 +462,11 @@ impl ShardedSimulator {
         }
         // `init` may already have staged cross-shard messages; deliver
         // them before the first window's t_min scan.
-        let init_stopped = self.exchange_outboxes(0);
-        let barrier = SpinBarrier::new(self.shards.len() + 1);
-        let window_end = AtomicU64::new(0);
-        let outcome = std::thread::scope(|scope| {
-            for cell in &self.shards {
-                let barrier = &barrier;
-                let window_end = &window_end;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    let end = window_end.load(Ordering::Acquire);
-                    if end == 0 {
-                        break;
-                    }
-                    // SAFETY: between the two barrier crossings this
-                    // worker is the only thread touching this shard.
-                    unsafe { (*cell.0.get()).run_window(end) };
-                    barrier.wait();
-                });
-            }
-            let result = loop {
-                // All shard access below is coordinator-exclusive: the
-                // workers are parked on the start barrier.
-                if init_stopped {
-                    break RunOutcome::Stopped;
-                }
-                let mut t_min: Option<Tick> = None;
-                let mut total_events = 0u64;
-                for i in 0..self.shards.len() {
-                    // SAFETY: coordinator phase; workers are parked.
-                    let sim = unsafe { self.shard_raw(i) };
-                    if let Some(t) = sim.next_event_tick() {
-                        t_min = Some(t_min.map_or(t, |m| m.min(t)));
-                    }
-                    total_events += sim.events_processed();
-                }
-                let Some(t_min) = t_min else {
-                    break RunOutcome::QueueEmpty;
-                };
-                if t_min > until {
-                    break RunOutcome::TimeLimit;
-                }
-                if total_events >= budget_end {
-                    break RunOutcome::EventLimit;
-                }
-                let end = t_min.saturating_add(self.delta).min(until.saturating_add(1));
-                window_end.store(end, Ordering::Release);
-                barrier.wait(); // release the workers into [t_min, end)
-                barrier.wait(); // wait for every shard to drain the window
-                let stopped = self.exchange_outboxes(end);
-                if self.tracer.mask() != 0 {
-                    self.merge_window_traces();
-                }
-                if stopped {
-                    break RunOutcome::Stopped;
-                }
-            };
-            window_end.store(0, Ordering::Release);
-            barrier.wait(); // let the workers observe the exit sentinel
-            result
-        });
+        let outcome = if self.exchange_outboxes(0) {
+            RunOutcome::Stopped
+        } else {
+            self.run_windows(until, budget_end)
+        };
         // A final merge catches records from init or a stop/limit exit.
         self.drain_shard_traces();
         self.now = match outcome {
@@ -439,6 +474,106 @@ impl ShardedSimulator {
             _ => (0..self.shards.len()).map(|i| self.shard(i).last_event_tick()).max().unwrap_or(0),
         };
         outcome
+    }
+
+    /// The parallel phase of [`ShardedSimulator::run`]: one worker thread
+    /// per shard `1..n`, with the coordinator running shard 0 itself. If
+    /// any thread panics, the barrier is poisoned, every other thread
+    /// stops waiting, and the first panic resumes here.
+    fn run_windows(&self, until: Tick, budget_end: u64) -> RunOutcome {
+        let barrier = SpinBarrier::new(self.shards.len());
+        let window_end = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = self.shards[1..]
+                .iter()
+                .map(|cell| {
+                    let barrier = &barrier;
+                    let window_end = &window_end;
+                    scope.spawn(move || {
+                        let _poison = PoisonOnPanic(barrier);
+                        while barrier.wait().is_ok() {
+                            let end = window_end.load(Ordering::Acquire);
+                            if end == 0 {
+                                break;
+                            }
+                            // SAFETY: between the two barrier crossings
+                            // this worker is the only thread touching
+                            // this shard.
+                            unsafe { (*cell.0.get()).run_window(end) };
+                            if barrier.wait().is_err() {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let result = {
+                let _poison = PoisonOnPanic(&barrier);
+                self.coordinate(&barrier, &window_end, until, budget_end)
+            };
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            result.expect("the barrier is only poisoned by a panicking worker")
+        })
+    }
+
+    /// The coordinator's loop: picks each window, runs shard 0 through it
+    /// alongside the workers, then exchanges mailboxes. Fails only when a
+    /// worker panicked.
+    fn coordinate(
+        &self,
+        barrier: &SpinBarrier,
+        window_end: &AtomicU64,
+        until: Tick,
+        budget_end: u64,
+    ) -> Result<RunOutcome, Poisoned> {
+        let mut next_ticks: Vec<Option<Tick>> = vec![None; self.shards.len()];
+        let result = loop {
+            // All shard access here is coordinator-exclusive: the workers
+            // are parked on the start barrier.
+            let mut total_events = 0u64;
+            for (i, next) in next_ticks.iter_mut().enumerate() {
+                let sim = self.shard(i);
+                *next = sim.next_event_tick();
+                total_events += sim.events_processed();
+            }
+            let Some(t_min) = next_ticks.iter().flatten().copied().min() else {
+                break RunOutcome::QueueEmpty;
+            };
+            if t_min > until {
+                break RunOutcome::TimeLimit;
+            }
+            if total_events >= budget_end {
+                break RunOutcome::EventLimit;
+            }
+            let end = t_min.saturating_add(self.delta).min(until.saturating_add(1));
+            let idle = next_ticks.iter().filter(|t| t.is_none_or(|t| t >= end)).count();
+            self.tally(|s| {
+                s.windows += 1;
+                s.idle_shard_windows += idle as u64;
+            });
+            window_end.store(end, Ordering::Release);
+            // Release the workers into [t_min, end).
+            barrier.wait()?;
+            // SAFETY: during the window the coordinator is the only
+            // thread touching shard 0.
+            unsafe { self.shard_raw(0).run_window(end) };
+            // Wait for every worker to drain the window.
+            barrier.wait()?;
+            let stopped = self.exchange_outboxes(end);
+            if self.tracer.mask() != 0 {
+                self.merge_window_traces();
+            }
+            if stopped {
+                break RunOutcome::Stopped;
+            }
+        };
+        window_end.store(0, Ordering::Release);
+        barrier.wait()?; // let the workers observe the exit sentinel
+        Ok(result)
     }
 
     /// Runs until every queue is empty or a component stops the run.
@@ -455,11 +590,15 @@ impl ShardedSimulator {
     /// edge's lookahead horizon was overstated.
     fn exchange_outboxes(&self, window_end: Tick) -> bool {
         let mut stopped = false;
+        let mut messages = 0u64;
         for i in 0..self.shards.len() {
             // SAFETY: coordinator phase; workers are parked.
-            let sim = unsafe { self.shard_raw(i) };
-            stopped |= sim.take_stop_request();
-            for msg in sim.take_outbox() {
+            stopped |= unsafe { self.shard_raw(i) }.take_stop_request();
+            // Drained in place, so the outbox keeps its capacity from one
+            // window to the next.
+            let mut outbox = self.shard(i).shared.outbox.borrow_mut();
+            messages += outbox.len() as u64;
+            for msg in outbox.drain(..) {
                 let edge = self.plan.edges[msg.edge as usize];
                 debug_assert_eq!(edge.from_shard as usize, i, "edge staged on wrong shard");
                 assert!(
@@ -473,6 +612,7 @@ impl ShardedSimulator {
                     .push_keyed(msg.tick, msg.order, edge.dest, msg.ev);
             }
         }
+        self.tally(|s| s.mailbox_messages += messages);
         stopped
     }
 
@@ -967,11 +1107,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mailbox_volley_crosses_cuts_at_exact_ticks() {
-        let log_e = Rc::new(RefCell::new(Vec::new()));
-        let log_w = Rc::new(RefCell::new(Vec::new()));
-        let h: Tick = 13;
+    type VolleyLog = Rc<RefCell<Vec<(Tick, u64)>>>;
+
+    /// East (shard 0) serves; the ball crosses the cut nine times, one
+    /// horizon `h` per hop.
+    fn volley_pair(h: Tick) -> (ShardedSimulator, VolleyLog, VolleyLog) {
+        let log_e: VolleyLog = Rc::new(RefCell::new(Vec::new()));
+        let log_w: VolleyLog = Rc::new(RefCell::new(Vec::new()));
         let mut s0 = Simulation::new();
         s0.add(Box::new(Volley {
             name: "east".into(),
@@ -998,7 +1140,13 @@ mod tests {
             ],
             route_end: trivial_route,
         };
-        let mut sharded = ShardedSimulator::new(vec![s0, s1], plan);
+        (ShardedSimulator::new(vec![s0, s1], plan), log_e, log_w)
+    }
+
+    #[test]
+    fn mailbox_volley_crosses_cuts_at_exact_ticks() {
+        let h: Tick = 13;
+        let (mut sharded, log_e, log_w) = volley_pair(h);
         assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
         let mut got: Vec<(Tick, u64)> = log_e.borrow().clone();
         got.extend(log_w.borrow().iter().copied());
@@ -1056,5 +1204,138 @@ mod tests {
         assert_eq!(*fired_b.borrow(), tail("b"));
         assert_eq!(sharded.now(), reference.now());
         assert_eq!(sharded.events_processed(), reference.events_processed());
+    }
+
+    #[test]
+    fn shard_sync_stats_count_windows_and_repeat_exactly() {
+        let (mut first, ..) = volley_pair(13);
+        assert_eq!(first.run_to_quiesce(), RunOutcome::QueueEmpty);
+        // Nine hops, one window each; the ball is always on exactly one
+        // side, so the other shard idles through every window.
+        let want = SyncStats { windows: 9, mailbox_messages: 9, idle_shard_windows: 9 };
+        assert_eq!(first.sync_stats(), want);
+        let (mut second, ..) = volley_pair(13);
+        assert_eq!(second.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(second.sync_stats(), first.sync_stats());
+        // Stopping at a time limit and resuming runs the same windows.
+        let (mut sliced, ..) = volley_pair(13);
+        assert_eq!(sliced.run(50, u64::MAX), RunOutcome::TimeLimit);
+        assert_eq!(sliced.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(sliced.sync_stats(), want);
+        // The serial fast path runs no windows.
+        let (serial, _) = serial_pair();
+        let mut one = ShardedSimulator::new(
+            vec![serial],
+            ShardPlan {
+                placements: vec![Placement::Shard(0); 2],
+                edges: vec![],
+                route_end: trivial_route,
+            },
+        );
+        assert_eq!(one.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(one.sync_stats(), SyncStats::default());
+    }
+
+    /// Panics at its first timer.
+    struct Bomb;
+    impl Component for Bomb {
+        fn name(&self) -> &str {
+            "bomb"
+        }
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.schedule(10, Event::Timer { kind: 0, data: 0 });
+        }
+        fn handle(&mut self, _: &mut Ctx<'_>, _: Event) {
+            panic!("bomb went off");
+        }
+    }
+
+    /// Runs `f` on a fresh thread and re-raises its panic, but fails
+    /// instead of hanging when `f` is still running after `limit`.
+    fn finishes_within(limit: std::time::Duration, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        });
+        match rx.recv_timeout(limit) {
+            Ok(Ok(())) => {}
+            Ok(Err(panic)) => std::panic::resume_unwind(panic),
+            Err(_) => panic!("still running after {limit:?}"),
+        }
+    }
+
+    /// A two-shard run with a ticker on one shard and a [`Bomb`] on
+    /// `bomb_shard`. Must end within a second — a panic on one shard once
+    /// left the others parked at the barrier forever.
+    fn run_with_bomb_on(bomb_shard: usize) {
+        finishes_within(std::time::Duration::from_secs(1), move || {
+            let fired = Rc::new(RefCell::new(Vec::new()));
+            let mut sims = [Simulation::new(), Simulation::new()];
+            let ticker = Ticker { name: "ticker".into(), fired, remaining: 100, period: 7 };
+            sims[bomb_shard].add(Box::new(Bomb));
+            sims[bomb_shard].add_remote("ticker");
+            sims[1 - bomb_shard].add_remote("bomb");
+            sims[1 - bomb_shard].add(Box::new(ticker));
+            let b = bomb_shard as u32;
+            let plan = ShardPlan {
+                placements: vec![Placement::Shard(b), Placement::Shard(1 - b)],
+                edges: vec![],
+                route_end: trivial_route,
+            };
+            ShardedSimulator::new(Vec::from(sims), plan).run_to_quiesce();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bomb went off")]
+    fn shard_panic_on_a_worker_propagates() {
+        run_with_bomb_on(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bomb went off")]
+    fn shard_panic_on_the_coordinator_shard_propagates() {
+        run_with_bomb_on(0);
+    }
+
+    /// Four parties cross the barrier 100k times; after crossing
+    /// generation `g`, every party must have arrived `g` times and the
+    /// barrier must read exactly generation `g` (`g + 1` cannot complete
+    /// without this party). A lost wakeup fails the watchdog instead of
+    /// hanging the suite.
+    fn stress_barrier(spin_limit: u32) {
+        const PARTIES: usize = 4;
+        const GENERATIONS: usize = 100_000;
+        finishes_within(std::time::Duration::from_secs(60), move || {
+            let barrier = SpinBarrier::with_spin_limit(PARTIES, spin_limit);
+            let arrivals = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..PARTIES {
+                    scope.spawn(|| {
+                        for g in 1..=GENERATIONS {
+                            arrivals.fetch_add(1, Ordering::Relaxed);
+                            barrier.wait().expect("no party panics");
+                            assert_eq!(barrier.generation.load(Ordering::Acquire), g);
+                            assert!(arrivals.load(Ordering::Relaxed) >= PARTIES * g);
+                        }
+                    });
+                }
+            });
+            assert_eq!(arrivals.into_inner(), PARTIES * GENERATIONS);
+            assert_eq!(barrier.sleepers.into_inner(), 0);
+        });
+    }
+
+    #[test]
+    fn shard_barrier_survives_stress_always_parking() {
+        stress_barrier(0);
+    }
+
+    #[test]
+    fn shard_barrier_survives_stress_spinning() {
+        // A short spin so crossings mix spin-phase wins (no wake) with
+        // parks; the full `SPIN_LIMIT` with more parties than cores
+        // spends most of the run burning timeslices.
+        stress_barrier(256);
     }
 }

@@ -758,12 +758,6 @@ impl Simulation {
         self.shared.queue.borrow_mut().next_tick()
     }
 
-    /// Drains the staged cross-shard messages recorded by
-    /// [`Ctx::remote_schedule`] since the last call.
-    pub fn take_outbox(&mut self) -> Vec<OutboundMsg> {
-        std::mem::take(&mut *self.shared.outbox.borrow_mut())
-    }
-
     /// Whether a component requested a stop that has not been consumed.
     pub fn take_stop_request(&mut self) -> bool {
         self.shared.stop_requested.replace(false)

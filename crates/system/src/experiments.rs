@@ -5,6 +5,7 @@
 //! throughput, the percentage of TLPs that were replayed, the percentage
 //! that suffered a replay-timeout, and MMIO read latency.
 
+use pcisim_kernel::shard::SyncStats;
 use pcisim_kernel::sim::RunOutcome;
 use pcisim_kernel::tick::{self, Tick};
 use pcisim_kernel::trace::{TraceCategory, TraceLog};
@@ -1284,6 +1285,8 @@ pub struct ShardScalingOutcome {
     pub stats_fnv: u64,
     /// Total scheduler dispatches across all shards.
     pub events: u64,
+    /// Window and mailbox counters of the run (all zero at 1 shard).
+    pub sync: SyncStats,
     /// Host wall-clock of the run (build and attach excluded).
     pub wall_secs: f64,
 }
@@ -1297,6 +1300,12 @@ impl ShardScalingOutcome {
             return 0.0;
         }
         self.events as f64 / self.wall_secs
+    }
+
+    /// Mean events dispatched per lockstep window; `None` for a serial
+    /// run, which has no windows.
+    pub fn events_per_window(&self) -> Option<f64> {
+        (self.sync.windows > 0).then(|| self.events as f64 / self.sync.windows as f64)
     }
 }
 
@@ -1333,6 +1342,7 @@ pub fn run_shard_scaling(
         quiesce_tick: driver.now(),
         stats_fnv: stats_fnv(&driver.stats()),
         events: driver.events_processed(),
+        sync: driver.sync_stats(),
         wall_secs,
     }
 }
@@ -1707,10 +1717,20 @@ mod pmd_tests {
             quiesce_tick: 0,
             stats_fnv: 0,
             events: 1000,
+            sync: SyncStats::default(),
             wall_secs: 0.0,
         };
         assert_eq!(out.events_per_sec(), 0.0);
         assert!(!out.events_per_sec().is_nan());
+        assert_eq!(out.events_per_window(), None);
+    }
+
+    #[test]
+    fn shard_sync_stats_repeat_across_identical_runs() {
+        let run = || run_shard_scaling(crate::topology::Topology::fanout(2, 2, 2), 2, 16 * 1024);
+        let (a, b) = (run(), run());
+        assert!(a.sync.windows > 0 && a.sync.mailbox_messages > 0, "{:?}", a.sync);
+        assert_eq!(a.sync, b.sync, "window schedule must be a pure function of the build");
     }
 }
 
