@@ -142,7 +142,7 @@ fn run_sharded_dd(
     let mut sys = build_topology_sharded(topo, shards);
     let mut reports = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             reports.push(sys.attach_dd(i, DdConfig { block_bytes: block, ..DdConfig::default() }));
         }
     }
@@ -386,93 +386,6 @@ pub fn run_micro_benchmarks(samples: u32) -> Vec<MicroResult> {
         .collect()
 }
 
-/// Cold-vs-warm wall-clock of one small `dd` sweep, measured by
-/// [`run_warm_start_benchmark`] and recorded in the JSON so the
-/// warm-start trajectory is tracked alongside raw simulator speed.
-#[derive(Debug, Clone)]
-pub struct WarmStartResult {
-    /// Sweep points per arm.
-    pub configs: usize,
-    /// Wall-clock of the cold sweep (every point enumerates + probes).
-    pub cold_ms: f64,
-    /// Wall-clock of the warm sweep (one warmup, every point forked).
-    pub warm_ms: f64,
-    /// Scheduler events of warmup each forked point skips re-simulating.
-    pub warm_events_skipped: u64,
-    /// Build + enumeration + driver-probe passes per arm: the cold sweep
-    /// pays one per point, the warm sweep one per distinct block size.
-    pub cold_setups: usize,
-    /// See [`Self::cold_setups`].
-    pub warm_setups: usize,
-}
-
-impl WarmStartResult {
-    /// Cold/warm wall-clock ratio (>1 means warm start is faster).
-    pub fn speedup(&self) -> f64 {
-        if self.warm_ms > 0.0 {
-            self.cold_ms / self.warm_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Times a small serial `dd` switch-latency sweep cold (every point
-/// builds, enumerates and probes its own system) against the identical
-/// sweep warm-started from one checkpoint, best-of-`samples` per arm.
-///
-/// Outcomes of the two arms are asserted bit-identical — this benchmark
-/// doubles as a smoke check of warm-start equivalence. The wall-clock
-/// ratio lands near 1.00x *by construction*: the warm arm still
-/// simulates each point's post-warmup workload tail (the overwhelming
-/// majority of events) and additionally pays the checkpoint restore, so
-/// the only savings are the skipped build/enumeration/probe passes and
-/// the warmup events — both microseconds-scale in this simulator, unlike
-/// the full-system boots gem5-style warm starts amortize. To keep the
-/// number honest instead of impressive, the result records exactly what
-/// the warm arm skipped: the warmup events per point and the setup
-/// passes per arm.
-pub fn run_warm_start_benchmark(samples: u32) -> WarmStartResult {
-    use pcisim_system::prelude::*;
-    let configs: Vec<DdExperiment> = [50u64, 75, 100, 125, 150, 175]
-        .into_iter()
-        .map(|lat| DdExperiment {
-            block_bytes: 256 * 1024,
-            switch_latency: pcisim_kernel::tick::ns(lat),
-            ..DdExperiment::default()
-        })
-        .collect();
-    let mut cold_best = f64::INFINITY;
-    let mut warm_best = f64::INFINITY;
-    let mut cold_out = Vec::new();
-    let mut warm_out = Vec::new();
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        cold_out = run_sweep(&configs, 1, run_dd_experiment);
-        cold_best = cold_best.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        warm_out = run_dd_sweep_warm(&configs, 1);
-        warm_best = warm_best.min(start.elapsed().as_secs_f64());
-    }
-    for (c, w) in cold_out.iter().zip(&warm_out) {
-        assert_eq!(c.sim_time, w.sim_time, "warm sweep must match cold bit-for-bit");
-        assert_eq!(c.throughput_gbps.to_bits(), w.throughput_gbps.to_bits());
-        assert_eq!(c.upstream_tlps, w.upstream_tlps);
-    }
-    // What the warm arm actually skipped, measured outside the timed
-    // region (the warm start is deterministic, so this matches the ones
-    // the timed arm prepared internally).
-    let warm = prepare_dd_warm_start(configs[0].block_bytes);
-    WarmStartResult {
-        configs: configs.len(),
-        cold_ms: cold_best * 1e3,
-        warm_ms: warm_best * 1e3,
-        warm_events_skipped: warm.warm_events,
-        cold_setups: configs.len(),
-        warm_setups: 1,
-    }
-}
-
 fn json_f64(v: f64) -> String {
     if !v.is_finite() {
         // JSON has no NaN/Infinity literals; `format!("{v}")` would emit
@@ -487,13 +400,8 @@ fn json_f64(v: f64) -> String {
 }
 
 /// Renders the `BENCH_simulator_speed.json` document: host metadata, the
-/// pre-change historical baseline, and the current measurement (including
-/// the warm-start cold/warm comparison when one was measured).
-pub fn render_json(
-    micro: &[MicroResult],
-    sweep_wall_ms: &[(String, u64)],
-    warm: Option<&WarmStartResult>,
-) -> String {
+/// pre-change historical baseline, and the current measurement.
+pub fn render_json(micro: &[MicroResult], sweep_wall_ms: &[(String, u64)]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"pcisim-bench-v1\",\n");
@@ -540,18 +448,6 @@ pub fn render_json(
     let cur: Vec<String> = sweep_wall_ms.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
     s.push_str(&cur.join(", "));
     s.push('}');
-    if let Some(w) = warm {
-        s.push_str(&format!(
-            ",\n    \"warm_start\": {{\n      \"note\": \"near-1x by construction: each warm point still simulates its full post-warmup workload tail and pays the restore; the savings are the setup passes and warmup events recorded here\",\n      \"configs\": {}, \"cold_ms\": {}, \"warm_ms\": {}, \"speedup\": {},\n      \"warm_events_skipped_per_config\": {}, \"cold_setups\": {}, \"warm_setups\": {}\n    }}",
-            w.configs,
-            json_f64(w.cold_ms),
-            json_f64(w.warm_ms),
-            json_f64(w.speedup()),
-            w.warm_events_skipped,
-            w.cold_setups,
-            w.warm_setups,
-        ));
-    }
     s.push_str("\n  }\n}\n");
     s
 }
@@ -764,37 +660,14 @@ mod tests {
             },
         ];
         let sweeps = vec![("fig9a".to_string(), 6_000u64), ("fig9b".to_string(), 9_000u64)];
-        let warm = WarmStartResult {
-            configs: 6,
-            cold_ms: 1000.0,
-            warm_ms: 800.0,
-            warm_events_skipped: 12_345,
-            cold_setups: 6,
-            warm_setups: 1,
-        };
-        let text = render_json(&micro, &sweeps, Some(&warm));
+        let text = render_json(&micro, &sweeps);
         let doc = parse(&text).expect("well-formed");
-        assert_eq!(
-            doc.path(&["current", "warm_start", "configs"]).and_then(Value::as_f64),
-            Some(6.0)
-        );
-        assert_eq!(
-            doc.path(&["current", "warm_start", "speedup"]).and_then(Value::as_f64),
-            Some(1.25)
-        );
-        assert_eq!(
-            doc.path(&["current", "warm_start", "warm_events_skipped_per_config"])
-                .and_then(Value::as_f64),
-            Some(12_345.0)
-        );
         assert_eq!(
             doc.path(&["current", "shards", "sharded_cascaded3_tx"]).and_then(Value::as_f64),
             Some(2.0)
         );
         assert!(doc.path(&["current", "shards", "xbar_10k_reads"]).is_none());
         assert!(doc.path(&["host", "cpus"]).and_then(Value::as_f64).is_some_and(|n| n >= 1.0));
-        let bare = render_json(&micro, &sweeps, None);
-        assert!(parse(&bare).expect("well-formed").path(&["current", "warm_start"]).is_none());
         assert_eq!(
             doc.path(&["current", "ops_per_sec", "xbar_10k_reads"]).and_then(Value::as_f64),
             Some(3_400_000.0)
@@ -841,7 +714,7 @@ mod tests {
             wall_ms: 0.0,
             shards: None,
         }];
-        let text = render_json(&micro, &[], None);
+        let text = render_json(&micro, &[]);
         let doc = parse(&text).expect("null must keep the document well-formed");
         assert_eq!(doc.path(&["current", "ops_per_sec", "broken"]), Some(&Value::Null));
         assert_eq!(doc.path(&["current", "events_per_sec", "broken"]), Some(&Value::Null));

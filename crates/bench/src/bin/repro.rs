@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--full] [--jobs N] [--shards N] [--warm-start] [--trace PATH]
+//! repro [--full] [--jobs N] [--shards N] [--trace PATH]
 //!       [--checkpoint PATH] [--bench-json PATH] [--bench-check PATH]
 //!       [fig9a] [fig9b] [fig9c] [fig9d] [table2] [sector] [ext] [faults] [topology]
 //!       [msix] [pmd] [shard] [cxl] [virtio] [all]
@@ -27,7 +27,7 @@
 //! `pmd` (alias `--pmd`) runs the heavy-traffic poll-mode experiment:
 //! the classic interrupt-driven receive driver vs. the busy-poll driver
 //! (interrupts fully masked — zero doorbells) on identical million-flow
-//! heavy-tailed traffic, then a warm-forked offered-load ladder. Along
+//! heavy-tailed traffic, then an offered-load ladder. Along
 //! the way it asserts serial ≡ sharded bit-identity and that replaying
 //! the recorded binary trace reproduces the live generator bit-for-bit.
 //!
@@ -56,15 +56,10 @@
 //! configuration runs its own `Simulation`, and results are re-assembled in
 //! input order, so the printed tables are bit-identical to `--jobs 1`.
 //!
-//! `--warm-start` forks every `dd` / fault sweep point from a checkpoint
-//! taken after one warmed-up reference run instead of building and
-//! enumerating each point from scratch. Tables are bit-identical to cold
-//! runs; enumeration and the driver probe execute once per block size.
-//!
 //! `--checkpoint PATH` demonstrates file-backed checkpoint/restore: it
-//! warms up the validation system, writes the checkpoint to PATH,
-//! rebuilds the tree from the warm seed, restores from the file and runs
-//! to completion, printing the cold-vs-restored comparison.
+//! runs the validation system to `WARMUP_TICK`, writes the checkpoint to
+//! PATH, builds a fresh tree, restores from the file and runs to
+//! completion, printing the uninterrupted-vs-restored comparison.
 //!
 //! `--trace PATH` additionally re-runs the Table II point with full event
 //! tracing: a Chrome/Perfetto trace is written to PATH and a per-stage
@@ -94,7 +89,6 @@ const MB: u64 = 1024 * 1024;
 struct Opts {
     full: bool,
     jobs: usize,
-    warm_start: bool,
     shards: usize,
 }
 
@@ -110,16 +104,10 @@ fn fmt_block(bytes: u64) -> String {
     format!("{}MB", bytes / MB)
 }
 
-/// Runs every `DdExperiment` in `configs` across the sweep runner —
-/// warm-started from one checkpoint per block size under `--warm-start`,
-/// cold otherwise — asserting completion, and returns outcomes in input
-/// order. Both paths produce bit-identical tables.
+/// Runs every `DdExperiment` in `configs` across the sweep runner,
+/// asserting completion, and returns outcomes in input order.
 fn dd_sweep(opts: &Opts, label: &str, configs: &[DdExperiment]) -> Vec<DdOutcome> {
-    let outcomes = if opts.warm_start {
-        run_dd_sweep_warm(configs, opts.jobs)
-    } else {
-        run_sweep(configs, opts.jobs, run_dd_experiment)
-    };
+    let outcomes = run_sweep(configs, opts.jobs, run_dd_experiment);
     for (out, config) in outcomes.iter().zip(configs) {
         assert!(out.completed, "{label} run must complete: {config:?}");
     }
@@ -440,11 +428,7 @@ fn faults(opts: &Opts) {
         .iter()
         .flat_map(|&(generation, width_all, _)| error_rate_ladder(generation, width_all, block))
         .collect();
-    let outcomes = if opts.warm_start {
-        run_fault_sweep_warm(&configs, opts.jobs)
-    } else {
-        run_sweep(&configs, opts.jobs, run_fault_experiment)
-    };
+    let outcomes = run_sweep(&configs, opts.jobs, run_fault_experiment);
     let ladder_len = configs.len() / POINTS.len();
     let mut rows = Vec::new();
     for (pi, &(_, _, label)) in POINTS.iter().enumerate() {
@@ -582,7 +566,7 @@ fn msix(opts: &Opts) {
 
 /// The heavy-traffic poll-mode tables: the interrupt-driven receive
 /// driver vs. the busy-poll driver on identical traffic, then the
-/// million-flow offered-load ladder (warm-forked across `--jobs`), with
+/// million-flow offered-load ladder (fanned across `--jobs`), with
 /// serial-vs-sharded identity and trace record→replay bit-identity
 /// asserted on the middle rung.
 fn pmd(opts: &Opts) {
@@ -624,7 +608,7 @@ fn pmd(opts: &Opts) {
     );
     println!("   poll mode settled {} frames with 0 interrupts", poll.rx_delivered);
 
-    println!("\n== PMD: offered-load ladder (busy-poll, warm-forked sweep) ==");
+    println!("\n== PMD: offered-load ladder (busy-poll sweep) ==");
     println!("   same flow population and size tail, mean inter-arrival gap swept");
     let gaps = [ns(4000), ns(2500), ns(1500), ns(1000), ns(700)];
     let Some(TrafficSpec::Generate(base_cfg)) = base.traffic.clone() else { unreachable!() };
@@ -632,7 +616,7 @@ fn pmd(opts: &Opts) {
         .into_iter()
         .map(|t| PmdExperiment { traffic: Some(TrafficSpec::Generate(t)), ..base.clone() })
         .collect();
-    let outcomes = run_pmd_sweep_warm(&configs, opts.jobs);
+    let outcomes = run_sweep(&configs, opts.jobs, run_pmd_experiment);
     let mut rows = Vec::new();
     for (&gap, out) in gaps.iter().zip(&outcomes) {
         assert!(out.completed, "ladder rung must settle: gap {gap}");
@@ -657,8 +641,8 @@ fn pmd(opts: &Opts) {
 
     println!("\n== PMD: identity checks on the middle rung ==");
     let mid = &configs[gaps.len() / 2];
-    let serial = run_pmd_sharded(mid, 1);
-    let sharded = run_pmd_sharded(mid, 2);
+    let serial = run_pmd_experiment(mid);
+    let sharded = run_pmd_experiment(&PmdExperiment { shards: 2, ..mid.clone() });
     assert_eq!(serial, sharded, "sharded pmd must reproduce the serial run bit-for-bit");
     println!(
         "   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}",
@@ -801,8 +785,8 @@ fn cxl(opts: &Opts) {
 
     println!("\n== CXL: identity check on the 2-way interleaved tree ==");
     let mid = &ileave_configs[1];
-    let serial = run_cxl_sharded(mid, 1);
-    let sharded = run_cxl_sharded(mid, 2);
+    let serial = run_cxl_experiment(mid);
+    let sharded = run_cxl_experiment(&CxlExperiment { shards: 2, ..mid.clone() });
     assert_eq!(serial, sharded, "sharded cxl must reproduce the serial run bit-for-bit");
     println!(
         "   serial == 2-shard: quiesce tick {}, stats fnv {:#018x}",
@@ -920,8 +904,8 @@ fn virtio(opts: &Opts) {
         queue_depth: 2,
         ..VirtioExperiment::default()
     };
-    let serial = run_virtio_sharded(&mixed, 1);
-    let sharded = run_virtio_sharded(&mixed, 2);
+    let serial = run_virtio_experiment(&mixed);
+    let sharded = run_virtio_experiment(&VirtioExperiment { shards: 2, ..mixed.clone() });
     assert!(serial.completed, "mixed fleet must complete: {serial:?}");
     assert_eq!(serial, sharded, "sharded virtio must reproduce the serial run bit-for-bit");
     println!(
@@ -1032,15 +1016,14 @@ fn trace_dump(path: &str) {
     println!("{}", log.attribution().render());
 }
 
-/// Demonstrates file-backed checkpoint/restore: warms up the validation
-/// `dd` system, saves it to `path`, rebuilds the tree from the warm seed
-/// (no enumeration, no driver probe), restores from the file and resumes
-/// to completion — asserting the restored run is bit-identical to an
-/// uninterrupted cold run.
+/// Demonstrates file-backed checkpoint/restore: runs the validation `dd`
+/// system to [`WARMUP_TICK`], saves it to `path`, builds a fresh tree,
+/// restores from the file and resumes to completion — asserting the
+/// restored run is bit-identical to an uninterrupted run.
 fn checkpoint_demo(path: &str) {
     use pcisim_kernel::sim::RunOutcome;
     use pcisim_kernel::tick::TICKS_PER_SEC;
-    use pcisim_system::builder::{build_system, build_system_warm, SystemConfig};
+    use pcisim_system::builder::{build_system, SystemConfig};
     use pcisim_system::workload::dd::DdConfig;
 
     println!("\n== Checkpoint demo: warm up, save, restore from file, resume ==");
@@ -1051,15 +1034,14 @@ fn checkpoint_demo(path: &str) {
     let cold_report = cold.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
     assert_eq!(cold.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
 
-    // Warm up a second system to WARMUP_TICK and save it to disk.
-    let mut warm = build_system(SystemConfig::validation());
-    let seed = warm.warm_seed();
-    let _ = warm.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
-    assert_eq!(warm.sim.run(WARMUP_TICK, u64::MAX), RunOutcome::TimeLimit);
-    let bytes = warm.checkpoint_to(path).expect("checkpoint written");
+    // Run a second system to WARMUP_TICK and save it to disk.
+    let mut paused = build_system(SystemConfig::validation());
+    let _ = paused.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
+    assert_eq!(paused.sim.run(WARMUP_TICK, u64::MAX), RunOutcome::TimeLimit);
+    let bytes = paused.checkpoint_to(path).expect("checkpoint written");
 
-    // Rebuild from the seed, restore the file, resume.
-    let mut restored = build_system_warm(SystemConfig::validation(), &seed);
+    // Build a fresh tree, restore the file, resume.
+    let mut restored = build_system(SystemConfig::validation());
     let report = restored.attach_dd(DdConfig { block_bytes: block, ..DdConfig::default() });
     restored.restore_from(path).expect("checkpoint restores");
     assert_eq!(restored.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
@@ -1082,8 +1064,7 @@ fn bench_samples() -> u32 {
     std::env::var("PCISIM_BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(3)
 }
 
-/// Measures the microbenchmark scenarios plus the warm-start cold/warm
-/// comparison and writes the speed report.
+/// Measures the microbenchmark scenarios and writes the speed report.
 fn bench_json(path: &str, sweep_wall_ms: &[(String, u64)]) {
     println!("\n== simulator_speed microbenchmarks (for {path}) ==");
     let micro = benchjson::run_micro_benchmarks(bench_samples());
@@ -1093,20 +1074,7 @@ fn bench_json(path: &str, sweep_wall_ms: &[(String, u64)]) {
             m.name, m.ops_per_sec, m.events_per_sec, m.wall_ms
         );
     }
-    let warm = benchjson::run_warm_start_benchmark(bench_samples());
-    println!(
-        "{:>16}: cold {:>8.1} ms vs warm {:>8.1} ms over {} configs ({:.2}x; warm arm \
-         skips {} setup passes + {} warmup events/point, still runs each workload tail)",
-        "warm_start",
-        warm.cold_ms,
-        warm.warm_ms,
-        warm.configs,
-        warm.speedup(),
-        warm.cold_setups - warm.warm_setups,
-        warm.warm_events_skipped,
-    );
-    std::fs::write(path, benchjson::render_json(&micro, sweep_wall_ms, Some(&warm)))
-        .expect("write bench json");
+    std::fs::write(path, benchjson::render_json(&micro, sweep_wall_ms)).expect("write bench json");
     println!("speed report written to {path}");
 }
 
@@ -1202,11 +1170,10 @@ fn main() {
     if let Some(path) = value_of("--bench-check") {
         std::process::exit(bench_check(&path));
     }
-    let warm_start = args.iter().any(|a| a == "--warm-start");
     let shards = value_of("--shards")
         .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--shards needs a number, got {v}")))
         .unwrap_or(4);
-    let opts = Opts { full, jobs, warm_start, shards };
+    let opts = Opts { full, jobs, shards };
     const VALUE_FLAGS: [&str; 6] =
         ["--trace", "--jobs", "--shards", "--bench-json", "--bench-check", "--checkpoint"];
     let mut skip_next = false;
@@ -1222,13 +1189,13 @@ fn main() {
                 skip_next = true;
                 return false;
             }
-            *a != "--full" && *a != "--warm-start"
+            *a != "--full"
         })
         .collect();
     let run_all = picked.is_empty() || picked.contains(&"all");
 
     println!(
-        "pcisim repro — {} mode (block sizes {}), {jobs} sweep worker{}{}",
+        "pcisim repro — {} mode (block sizes {}), {jobs} sweep worker{}",
         if full { "full" } else { "quick" },
         if full {
             "64–512 MB as in the paper"
@@ -1236,7 +1203,6 @@ fn main() {
             "scaled down 16x; pass --full for the paper's sizes"
         },
         if jobs == 1 { "" } else { "s" },
-        if warm_start { ", warm-started dd/fault sweeps" } else { "" },
     );
     let mut sweep_wall_ms: Vec<(String, u64)> = Vec::new();
     let mut timed = |name: &str, f: &dyn Fn(&Opts)| {

@@ -29,10 +29,7 @@ use pcisim_pcie::params::LinkConfig;
 use pcisim_pcie::router::RouterConfig;
 
 use crate::platform;
-use crate::snapshot::WarmSeed;
-use crate::topology::{
-    build_topology, build_topology_warm, Attachment, Node, Topology, TopologySystem, MSI_VECTOR,
-};
+use crate::topology::{build_topology, Attachment, Node, Topology, TopologySystem, MSI_VECTOR};
 use crate::workload::dd::{DdApp, DdConfig, DdReportHandle, DD_IRQ_PORT, DD_MEM_PORT};
 use crate::workload::mmio::{MmioProbe, MmioProbeConfig, MmioReportHandle, MMIO_MEM_PORT};
 use crate::workload::msix::{
@@ -295,24 +292,7 @@ impl BuiltSystem {
 /// Panics when enumeration or the driver probe fails — a built-in
 /// topology that does not enumerate is a bug, not a runtime condition.
 pub fn build_system(config: SystemConfig) -> BuiltSystem {
-    finish_built_system(build_topology(Topology::from_system_config(&config)))
-}
-
-/// Builds the full system per `config` from a [`WarmSeed`], skipping
-/// enumeration and the driver probe (see
-/// [`build_topology_warm`](crate::topology::build_topology_warm)).
-///
-/// The returned system's config spaces are at reset values until a
-/// checkpoint from the seeding run is restored into it.
-///
-/// # Panics
-///
-/// Panics when the seed does not match the tree's endpoint count.
-pub fn build_system_warm(config: SystemConfig, seed: &WarmSeed) -> BuiltSystem {
-    finish_built_system(build_topology_warm(&Topology::from_system_config(&config), seed))
-}
-
-fn finish_built_system(built: TopologySystem) -> BuiltSystem {
+    let built = build_topology(Topology::from_system_config(&config));
     let probe = built.probe.expect("built-in topology must probe");
     let endpoint = &built.endpoints[0];
     BuiltSystem {
@@ -667,46 +647,17 @@ mod msi_tests {
     }
 }
 
-/// A built system with a disk on *each* switch downstream port — the
-/// fan-out the paper's Fig. 2 architecture exists to support. Both disks
-/// share the root link, so running both workloads at once measures
-/// contention in the PCI-Express fabric.
-pub struct DualDiskSystem {
-    /// The simulation holding every component.
-    pub sim: Simulation,
-    /// What the enumeration software found.
-    pub report: EnumerationReport,
-    /// BAR0 of each disk.
-    pub disk_bars: [u64; 2],
-    /// Reserved memory-bus endpoints for the two workloads.
-    cpu_mem_ports: [(ComponentId, PortId); 2],
-    /// Interrupt endpoints for the two workloads.
-    cpu_irq_ports: [(ComponentId, PortId); 2],
-}
-
-impl DualDiskSystem {
-    /// Attaches a `dd` workload to disk `index` (0 or 1).
-    pub fn attach_dd(&mut self, index: usize, mut config: DdConfig) -> DdReportHandle {
-        config.disk_bar = self.disk_bars[index];
-        // Distinct DMA buffers so DRAM traffic does not alias.
-        config.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
-        let (dd, report) = DdApp::new(format!("dd{index}"), config);
-        let id = self.sim.add(Box::new(dd));
-        self.sim.connect((id, DD_MEM_PORT), self.cpu_mem_ports[index]);
-        self.sim.connect((id, DD_IRQ_PORT), self.cpu_irq_ports[index]);
-        report
-    }
-}
-
 /// Builds the dual-disk topology: the validation system with a second IDE
-/// disk on the switch's other downstream port, both behind the shared
-/// root link.
+/// disk (`disk1`) on the switch's other downstream port — the fan-out the
+/// paper's Fig. 2 architecture exists to support. Both disks share the
+/// root link, so running `dd` on each at once measures contention in the
+/// PCI-Express fabric.
 ///
 /// # Panics
 ///
 /// Panics when the configuration carries no switch or when enumeration
 /// fails.
-pub fn build_dual_disk_system(config: SystemConfig) -> DualDiskSystem {
+pub fn build_dual_disk_system(config: SystemConfig) -> TopologySystem {
     let switch_cfg = config.switch.clone().expect("dual-disk topology needs a switch");
     let disk_cfg = match &config.device {
         DeviceSpec::Disk(d) => d.clone(),
@@ -731,14 +682,7 @@ pub fn build_dual_disk_system(config: SystemConfig) -> DualDiskSystem {
     topo.pcihost_latency = config.pcihost_latency;
     topo.trace_mask = config.trace_mask;
 
-    let built = build_topology(topo);
-    DualDiskSystem {
-        disk_bars: [built.endpoints[0].bar0, built.endpoints[1].bar0],
-        cpu_mem_ports: [built.endpoints[0].cpu_mem_port, built.endpoints[1].cpu_mem_port],
-        cpu_irq_ports: [built.endpoints[0].cpu_irq_port, built.endpoints[1].cpu_irq_port],
-        sim: built.sim,
-        report: built.report,
-    }
+    build_topology(topo)
 }
 
 #[cfg(test)]
@@ -752,7 +696,7 @@ mod dual_disk_tests {
     fn both_disks_enumerate_on_separate_buses() {
         let sys = build_dual_disk_system(SystemConfig::validation());
         assert_eq!(sys.report.endpoints().count(), 2);
-        assert_ne!(sys.disk_bars[0], sys.disk_bars[1]);
+        assert_ne!(sys.endpoints[0].bar0, sys.endpoints[1].bar0);
         let d0 = sys.report.at(Bdf::new(3, 0, 0)).unwrap();
         let d1 = sys.report.at(Bdf::new(4, 0, 0)).unwrap();
         assert_ne!(d0.irq, d1.irq, "each disk gets its own interrupt line");

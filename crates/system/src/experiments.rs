@@ -12,8 +12,8 @@ use pcisim_kernel::trace::{TraceCategory, TraceLog};
 use pcisim_pci::caps::aer_status;
 use pcisim_pcie::params::{Generation, LinkConfig, LinkWidth};
 
-use crate::builder::{build_system, build_system_warm, BuiltSystem, DeviceSpec, SystemConfig};
-use crate::snapshot::{SystemHandle, WarmSeed};
+use crate::builder::{build_system, BuiltSystem, DeviceSpec, SystemConfig};
+use crate::topology::{build_topology_sharded, EndpointKind, Topology};
 use crate::workload::dd::{DdConfig, DdReportHandle};
 use crate::workload::mmio::MmioProbeConfig;
 
@@ -101,7 +101,7 @@ pub struct DdOutcome {
 }
 
 /// Translates a [`DdExperiment`]'s knobs into the full-system
-/// configuration both the cold and warm runners build from.
+/// configuration it runs over.
 fn dd_system_config(exp: &DdExperiment) -> SystemConfig {
     let mut config = SystemConfig::validation();
     config.rc.latency = exp.rc_latency;
@@ -341,7 +341,7 @@ pub fn run_fault_experiment(exp: &FaultExperiment) -> FaultOutcome {
 }
 
 /// Translates a [`FaultExperiment`]'s knobs into the full-system
-/// configuration both the cold and warm runners build from.
+/// configuration it runs over.
 fn fault_system_config(exp: &FaultExperiment) -> SystemConfig {
     let mut config = SystemConfig::validation();
     let (root_width, device_width) = match exp.width_all {
@@ -433,158 +433,15 @@ pub fn error_rate_sweep(
     crate::sweep::run_sweep(&ladder, jobs, run_fault_experiment)
 }
 
-/// Simulated tick at which warm-start checkpoints are taken.
+/// Simulated tick at which the checkpoint demo and the committed golden
+/// fixture pause the validation `dd` run.
 ///
 /// At 100 µs the `dd` driver has finished its OS-side setup step (it runs
 /// at 10 ns) but its first block submission is still 300 µs away
-/// (`os_block_setup` defaults to 400 µs), so **no TLP has touched the
-/// fabric yet**: every link, router and queue holds its reset state, and
-/// the only pending work is the driver's armed timer. That makes the
-/// checkpoint independent of every fabric knob — switch/RC latency, link
-/// width/generation, replay buffers, port buffers, flow control, error
-/// injection — which is exactly what lets one warmed-up run fork an
-/// entire parameter sweep. The workload's own state *does* depend on its
-/// block size, so warm starts are keyed per distinct `block_bytes`.
+/// (`os_block_setup` defaults to 400 µs), so no TLP has touched the
+/// fabric yet: every link, router and queue holds its reset state, and
+/// the only pending work is the driver's armed timer.
 pub const WARMUP_TICK: Tick = tick::us(100);
-
-/// A warmed-up `dd` reference run, ready to fork sweep points from.
-///
-/// Produced once by [`prepare_dd_warm_start`]; each sweep point then
-/// builds its own differently parameterized tree from the [`WarmSeed`]
-/// (skipping enumeration and the driver probe) and restores the
-/// checkpoint into it. The struct is plain data (`Send + Sync`), so a
-/// single warm start is shared across parallel sweep workers.
-#[derive(Debug, Clone)]
-pub struct DdWarmStart {
-    /// Checkpoint of the warmed-up system, taken at [`WARMUP_TICK`].
-    pub snapshot: Vec<u8>,
-    /// The functional enumeration + driver-probe results to replay.
-    pub seed: WarmSeed,
-    /// Block size the workload was attached with; forked runs must match.
-    pub block_bytes: u64,
-    /// Scheduler events the warmup simulated — the work each forked sweep
-    /// point skips re-executing (on top of enumeration + driver probe).
-    pub warm_events: u64,
-}
-
-/// Builds the validation system once, attaches `dd` with `block_bytes`,
-/// runs to [`WARMUP_TICK`] and captures the checkpoint + warm seed every
-/// subsequent sweep point forks from.
-pub fn prepare_dd_warm_start(block_bytes: u64) -> DdWarmStart {
-    let mut built = build_system(SystemConfig::validation());
-    let seed = built.warm_seed();
-    let _ = built.attach_dd(DdConfig { block_bytes, ..DdConfig::default() });
-    let outcome = built.sim.run(WARMUP_TICK, MAX_EVENTS);
-    assert_eq!(outcome, RunOutcome::TimeLimit, "warmup must pause at the warmup tick");
-    let warm_events = built.sim.events_processed();
-    DdWarmStart { snapshot: built.checkpoint(), seed, block_bytes, warm_events }
-}
-
-/// Warm-started [`run_dd_experiment`]: builds the experiment's tree from
-/// the warm seed (no enumeration, no driver probe), restores the warmed
-/// checkpoint and runs to completion. Bit-identical to the cold runner
-/// for any experiment whose `block_bytes` matches the warm start.
-///
-/// # Panics
-///
-/// Panics when `exp.block_bytes` differs from the warm start's, or when
-/// the experiment asks for a trace (traces cover a whole run from tick 0;
-/// fork them from cold runs instead).
-pub fn run_dd_experiment_warm(exp: &DdExperiment, warm: &DdWarmStart) -> DdOutcome {
-    assert_eq!(
-        exp.block_bytes, warm.block_bytes,
-        "a warm start is keyed by block size: the driver state at the \
-         warmup tick already depends on it"
-    );
-    assert!(!exp.trace, "warm-started runs do not trace; use run_dd_experiment");
-    let mut built = build_system_warm(dd_system_config(exp), &warm.seed);
-    let report = built.attach_dd(DdConfig { block_bytes: exp.block_bytes, ..DdConfig::default() });
-    built.restore(&warm.snapshot).expect("a warm snapshot restores into its own tree shape");
-    let outcome = built.sim.run(MAX_TIME, MAX_EVENTS);
-    collect_dd_outcome(&mut built, &report, outcome, None)
-}
-
-/// Warm-started `dd` sweep: enumerates + warms up once per distinct block
-/// size (in first-appearance order), then forks every sweep point from
-/// the matching checkpoint across `jobs` workers. Results are
-/// bit-identical to `run_sweep(configs, jobs, run_dd_experiment)`.
-pub fn run_dd_sweep_warm(configs: &[DdExperiment], jobs: usize) -> Vec<DdOutcome> {
-    crate::sweep::run_sweep_warm(
-        configs,
-        jobs,
-        || {
-            let mut warms: Vec<DdWarmStart> = Vec::new();
-            for exp in configs {
-                if !warms.iter().any(|w| w.block_bytes == exp.block_bytes) {
-                    warms.push(prepare_dd_warm_start(exp.block_bytes));
-                }
-            }
-            warms
-        },
-        |exp, warms: &Vec<DdWarmStart>| {
-            let warm = warms
-                .iter()
-                .find(|w| w.block_bytes == exp.block_bytes)
-                .expect("a warm start exists for every block size in the sweep");
-            run_dd_experiment_warm(exp, warm)
-        },
-    )
-}
-
-/// Warm-started [`run_fault_experiment`]. Error injection is a link
-/// *configuration* knob (a pure function of each interface's transmit
-/// count, which is zero at [`WARMUP_TICK`]), so every ladder point forks
-/// from the same fault-free warm start.
-///
-/// # Panics
-///
-/// Panics when `exp.block_bytes` differs from the warm start's.
-pub fn run_fault_experiment_warm(exp: &FaultExperiment, warm: &DdWarmStart) -> FaultOutcome {
-    assert_eq!(
-        exp.block_bytes, warm.block_bytes,
-        "a warm start is keyed by block size: the driver state at the \
-         warmup tick already depends on it"
-    );
-    let mut built = build_system_warm(fault_system_config(exp), &warm.seed);
-    let report = built.attach_dd(DdConfig { block_bytes: exp.block_bytes, ..DdConfig::default() });
-    built.restore(&warm.snapshot).expect("a warm snapshot restores into its own tree shape");
-    let outcome = built.sim.run(MAX_TIME, MAX_EVENTS);
-    collect_fault_outcome(&mut built, &report, outcome, exp.error_interval)
-}
-
-/// Warm-started fault campaign over `configs` (which must share one block
-/// size): warms up once, forks every point. Bit-identical to
-/// `run_sweep(configs, jobs, run_fault_experiment)`.
-///
-/// # Panics
-///
-/// Panics when the campaign mixes block sizes.
-pub fn run_fault_sweep_warm(configs: &[FaultExperiment], jobs: usize) -> Vec<FaultOutcome> {
-    if let Some(first) = configs.first() {
-        assert!(
-            configs.iter().all(|c| c.block_bytes == first.block_bytes),
-            "a fault campaign warm-starts from a single block size"
-        );
-    }
-    crate::sweep::run_sweep_warm(
-        configs,
-        jobs,
-        || prepare_dd_warm_start(configs[0].block_bytes),
-        run_fault_experiment_warm,
-    )
-}
-
-/// Warm-started [`error_rate_sweep`]: same ladder, same outcomes, but the
-/// system is enumerated and warmed up exactly once.
-pub fn error_rate_sweep_warm(
-    generation: Generation,
-    width_all: Option<LinkWidth>,
-    block_bytes: u64,
-    jobs: usize,
-) -> Vec<FaultOutcome> {
-    let ladder = error_rate_ladder(generation, width_all, block_bytes);
-    run_fault_sweep_warm(&ladder, jobs)
-}
 
 #[cfg(test)]
 mod fault_tests {
@@ -1024,10 +881,7 @@ pub struct TopologyOutcome {
     pub split: ContentionOutcome,
 }
 
-fn run_contention_arm(
-    topo: crate::topology::Topology,
-    exp: &TopologyExperiment,
-) -> ContentionOutcome {
+fn run_contention_arm(topo: Topology, exp: &TopologyExperiment) -> ContentionOutcome {
     let mut built = crate::topology::build_topology(topo);
     let workload = crate::workload::nic_tx::NicTxConfig {
         frames: exp.frames,
@@ -1059,8 +913,8 @@ pub fn run_topology_experiment(exp: &TopologyExperiment) -> TopologyOutcome {
     use pcisim_devices::nic::NicConfig;
     let nic = NicConfig { tx_wire_time: exp.tx_wire_time, ..NicConfig::default() };
     TopologyOutcome {
-        shared: run_contention_arm(crate::topology::Topology::dual_nic_shared(nic.clone()), exp),
-        split: run_contention_arm(crate::topology::Topology::dual_nic_split(nic), exp),
+        shared: run_contention_arm(Topology::dual_nic_shared(nic.clone()), exp),
+        split: run_contention_arm(Topology::dual_nic_split(nic), exp),
     }
 }
 
@@ -1314,15 +1168,11 @@ impl ShardScalingOutcome {
 /// returns the identity anchors (quiesce tick, stats FNV) together with
 /// the aggregate event rate. `shards == 1` is the serial baseline: the
 /// driver runs the single shard inline on the calling thread.
-pub fn run_shard_scaling(
-    topo: crate::topology::Topology,
-    shards: usize,
-    block_bytes: u64,
-) -> ShardScalingOutcome {
-    let mut sys = crate::topology::build_topology_sharded(topo, shards);
+pub fn run_shard_scaling(topo: Topology, shards: usize, block_bytes: u64) -> ShardScalingOutcome {
+    let mut sys = build_topology_sharded(topo, shards);
     let mut reports = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             reports.push(sys.attach_dd(i, DdConfig { block_bytes, ..DdConfig::default() }));
         }
     }
@@ -1368,6 +1218,9 @@ pub struct PmdExperiment {
     /// The open-loop receive stream (generator config or recorded trace);
     /// `None` runs TX-only.
     pub traffic: Option<crate::traffic::TrafficSpec>,
+    /// Shards the system is partitioned across (1 = serial). The outcome
+    /// is identical at every shard count.
+    pub shards: usize,
 }
 
 impl Default for PmdExperiment {
@@ -1385,6 +1238,7 @@ impl Default for PmdExperiment {
                 256,
                 tick::ns(2000),
             ))),
+            shards: 1,
         }
     }
 }
@@ -1468,28 +1322,11 @@ fn collect_pmd_outcome(
 }
 
 /// Runs the poll-mode arm: busy-poll driver, interrupts fully masked.
+/// Under `exp.shards > 1` the NIC's subtree runs on its own shard, with
+/// conservative-window barriers on the cut link.
 pub fn run_pmd_experiment(exp: &PmdExperiment) -> PmdOutcome {
-    let mut built = build_system(pmd_system_config(exp));
-    let report = built.attach_pmd(pmd_workload_config(exp));
-    let outcome = built.sim.run(MAX_TIME, MAX_EVENTS);
-    let stats = built.sim.stats();
-    let rx_expect = exp.traffic.as_ref().map(|t| t.frames()).unwrap_or(0);
-    collect_pmd_outcome(
-        &stats,
-        &report,
-        built.sim.now(),
-        outcome == RunOutcome::QueueEmpty,
-        rx_expect,
-    )
-}
-
-/// Runs the same traffic through the sharded kernel: the NIC's subtree on
-/// its own shard, conservative-window barriers on the cut link. `shards
-/// == 1` is the serial baseline; the quiesce tick and stats FNV must be
-/// identical at every shard count.
-pub fn run_pmd_sharded(exp: &PmdExperiment, shards: usize) -> PmdOutcome {
-    let topo = crate::topology::Topology::from_system_config(&pmd_system_config(exp));
-    let mut sys = crate::topology::build_topology_sharded(topo, shards);
+    let topo = Topology::from_system_config(&pmd_system_config(exp));
+    let mut sys = build_topology_sharded(topo, exp.shards);
     let report = sys.attach_pmd(0, pmd_workload_config(exp));
     let rx_expect = exp.traffic.as_ref().map(|t| t.frames()).unwrap_or(0);
     let mut driver = sys.into_driver();
@@ -1551,96 +1388,6 @@ pub fn run_irq_rx_experiment(exp: &PmdExperiment) -> PmdOutcome {
     }
 }
 
-/// A warmed-up poll-mode reference run, ready to fork load points from.
-///
-/// The checkpoint is taken at [`WARMUP_TICK`], before the driver's
-/// [`setup_delay`](crate::workload::pmd::PmdConfig::setup_delay) expires:
-/// no ring has been programmed and the traffic source has not emitted a
-/// single frame, so the snapshot is independent of the traffic spec, the
-/// burst size and the poll interval — one warmed fleet forks a whole
-/// offered-load ladder.
-#[derive(Debug, Clone)]
-pub struct PmdWarmStart {
-    /// Checkpoint of the warmed-up system, taken at [`WARMUP_TICK`].
-    pub snapshot: Vec<u8>,
-    /// The functional enumeration + driver-probe results to replay.
-    pub seed: WarmSeed,
-    /// Queue pairs the workload was attached with; forks must match
-    /// (per-queue state vectors are sized at construction).
-    pub queues: u32,
-    /// TX frame budget the workload was attached with; forks must match
-    /// (the budget counter is part of the restored state).
-    pub tx_frames: u32,
-    /// Whether the NIC carried a traffic source (the NIC checkpoint tail
-    /// is conditional on it); forks must match.
-    pub has_traffic: bool,
-    /// Scheduler events the warmup simulated.
-    pub warm_events: u64,
-}
-
-/// Builds the poll-mode system once, runs to [`WARMUP_TICK`] and captures
-/// the checkpoint + warm seed every load point forks from.
-pub fn prepare_pmd_warm_start(exp: &PmdExperiment) -> PmdWarmStart {
-    let mut built = build_system(pmd_system_config(exp));
-    let seed = built.warm_seed();
-    let _ = built.attach_pmd(pmd_workload_config(exp));
-    let outcome = built.sim.run(WARMUP_TICK, MAX_EVENTS);
-    assert_eq!(outcome, RunOutcome::TimeLimit, "warmup must pause at the warmup tick");
-    let warm_events = built.sim.events_processed();
-    PmdWarmStart {
-        snapshot: built.checkpoint(),
-        seed,
-        queues: exp.queues,
-        tx_frames: exp.tx_frames,
-        has_traffic: exp.traffic.is_some(),
-        warm_events,
-    }
-}
-
-/// Warm-started [`run_pmd_experiment`]: builds the load point's tree from
-/// the warm seed, restores the warmed checkpoint and runs to completion.
-/// Bit-identical to the cold runner for any compatible experiment.
-///
-/// # Panics
-///
-/// Panics when the experiment's queues, TX budget, or traffic presence
-/// differ from the warm start's (those live in the restored state).
-pub fn run_pmd_experiment_warm(exp: &PmdExperiment, warm: &PmdWarmStart) -> PmdOutcome {
-    assert_eq!(exp.queues, warm.queues, "a pmd warm start is keyed by queue count");
-    assert_eq!(exp.tx_frames, warm.tx_frames, "a pmd warm start is keyed by the TX budget");
-    assert_eq!(
-        exp.traffic.is_some(),
-        warm.has_traffic,
-        "a pmd warm start is keyed by traffic presence (the NIC checkpoint \
-         tail is conditional on it)"
-    );
-    let mut built = build_system_warm(pmd_system_config(exp), &warm.seed);
-    let report = built.attach_pmd(pmd_workload_config(exp));
-    built.restore(&warm.snapshot).expect("a warm snapshot restores into its own tree shape");
-    let outcome = built.sim.run(MAX_TIME, MAX_EVENTS);
-    let stats = built.sim.stats();
-    let rx_expect = exp.traffic.as_ref().map(|t| t.frames()).unwrap_or(0);
-    collect_pmd_outcome(
-        &stats,
-        &report,
-        built.sim.now(),
-        outcome == RunOutcome::QueueEmpty,
-        rx_expect,
-    )
-}
-
-/// Warm-started offered-load sweep: enumerates + warms up once (from the
-/// first point), then forks every load point across `jobs` workers.
-/// Bit-identical to `run_sweep(configs, jobs, run_pmd_experiment)`.
-pub fn run_pmd_sweep_warm(configs: &[PmdExperiment], jobs: usize) -> Vec<PmdOutcome> {
-    crate::sweep::run_sweep_warm(
-        configs,
-        jobs,
-        || prepare_pmd_warm_start(&configs[0]),
-        run_pmd_experiment_warm,
-    )
-}
-
 #[cfg(test)]
 mod pmd_tests {
     use super::*;
@@ -1681,32 +1428,10 @@ mod pmd_tests {
     #[test]
     fn pmd_is_bit_identical_serial_vs_sharded() {
         let exp = small_exp();
-        let serial = run_pmd_sharded(&exp, 1);
-        let sharded = run_pmd_sharded(&exp, 2);
+        let serial = run_pmd_experiment(&exp);
+        let sharded = run_pmd_experiment(&PmdExperiment { shards: 2, ..exp });
         assert!(serial.completed);
         assert_eq!(serial, sharded, "shard count must not perturb the run");
-    }
-
-    #[test]
-    fn warm_started_pmd_is_bit_identical_to_cold() {
-        let exp = small_exp();
-        let cold = run_pmd_experiment(&exp);
-        let warm = prepare_pmd_warm_start(&exp);
-        let hot = run_pmd_experiment_warm(&exp, &warm);
-        assert_eq!(cold, hot, "forked run must be indistinguishable from cold");
-        // One warm start forks a different load point too.
-        let heavier = PmdExperiment {
-            traffic: Some(TrafficSpec::Generate(heavy_traffic(
-                0x5eed,
-                1 << 20,
-                48,
-                tick::ns(1250),
-            ))),
-            ..exp
-        };
-        let cold2 = run_pmd_experiment(&heavier);
-        let hot2 = run_pmd_experiment_warm(&heavier, &warm);
-        assert_eq!(cold2, hot2);
     }
 
     #[test]
@@ -1727,7 +1452,7 @@ mod pmd_tests {
 
     #[test]
     fn shard_sync_stats_repeat_across_identical_runs() {
-        let run = || run_shard_scaling(crate::topology::Topology::fanout(2, 2, 2), 2, 16 * 1024);
+        let run = || run_shard_scaling(Topology::fanout(2, 2, 2), 2, 16 * 1024);
         let (a, b) = (run(), run());
         assert!(a.sync.windows > 0 && a.sync.mailbox_messages > 0, "{:?}", a.sync);
         assert_eq!(a.sync, b.sync, "window schedule must be a pure function of the build");
@@ -1776,6 +1501,9 @@ pub struct CxlExperiment {
     pub write_every: u32,
     /// Expander device model knobs.
     pub expander: CxlExpanderConfig,
+    /// Shards the system is partitioned across (1 = serial). The outcome
+    /// is identical at every shard count.
+    pub shards: usize,
 }
 
 impl Default for CxlExperiment {
@@ -1789,6 +1517,7 @@ impl Default for CxlExperiment {
             chain_blocks: 64,
             write_every: 0,
             expander: CxlExpanderConfig::default(),
+            shards: 1,
         }
     }
 }
@@ -1820,17 +1549,13 @@ pub struct CxlOutcome {
 /// The topology a [`CxlExperiment`] runs over. The local-DRAM arm uses
 /// the same tree as [`CxlPlacement::Direct`] — only the host stream's
 /// target window differs — so the two arms pay identical enumeration.
-fn cxl_topology(exp: &CxlExperiment) -> crate::topology::Topology {
+fn cxl_topology(exp: &CxlExperiment) -> Topology {
     match exp.placement {
         CxlPlacement::LocalDram | CxlPlacement::Direct => {
-            crate::topology::Topology::cxl_direct(exp.expander.clone())
+            Topology::cxl_direct(exp.expander.clone())
         }
-        CxlPlacement::BehindSwitch => {
-            crate::topology::Topology::cxl_behind_switch(exp.expander.clone())
-        }
-        CxlPlacement::Interleaved(n) => {
-            crate::topology::Topology::cxl_interleaved(n, exp.expander.clone())
-        }
+        CxlPlacement::BehindSwitch => Topology::cxl_behind_switch(exp.expander.clone()),
+        CxlPlacement::Interleaved(n) => Topology::cxl_interleaved(n, exp.expander.clone()),
     }
 }
 
@@ -1887,19 +1612,18 @@ fn collect_cxl_outcome(
     }
 }
 
-/// Runs the experiment under the sharded driver: one host stream per
-/// expander (or one DRAM stream for the reference arm), partitioned
-/// across `shards` workers. `shards == 1` is the serial baseline; the
-/// whole outcome — latencies, bandwidth, quiesce tick, stats FNV — must
-/// be identical at every shard count.
-pub fn run_cxl_sharded(exp: &CxlExperiment, shards: usize) -> CxlOutcome {
-    let mut sys = crate::topology::build_topology_sharded(cxl_topology(exp), shards);
+/// Runs the experiment: one host stream per expander (or one DRAM stream
+/// for the reference arm), partitioned across `exp.shards` shards. The
+/// whole outcome — latencies, bandwidth, quiesce tick, stats FNV — is
+/// identical at every shard count.
+pub fn run_cxl_experiment(exp: &CxlExperiment) -> CxlOutcome {
+    let mut sys = build_topology_sharded(cxl_topology(exp), exp.shards);
     let mut reports = Vec::new();
     if exp.placement == CxlPlacement::LocalDram {
         reports.push(sys.attach_dram_host(0, cxl_host_config(exp)));
     } else {
         for i in 0..sys.endpoints.len() {
-            if sys.endpoints[i].is_cxl {
+            if sys.endpoints[i].kind == EndpointKind::Cxl {
                 reports.push(sys.attach_cxl_host(i, cxl_host_config(exp)));
             }
         }
@@ -1915,11 +1639,6 @@ pub fn run_cxl_sharded(exp: &CxlExperiment, shards: usize) -> CxlOutcome {
         outcome == RunOutcome::QueueEmpty,
         requests,
     )
-}
-
-/// Runs the experiment serially (the common case for the sweep tables).
-pub fn run_cxl_experiment(exp: &CxlExperiment) -> CxlOutcome {
-    run_cxl_sharded(exp, 1)
 }
 
 #[cfg(test)]
@@ -1977,8 +1696,8 @@ mod cxl_tests {
             requests: 64,
             ..CxlExperiment::default()
         };
-        let serial = run_cxl_sharded(&exp, 1);
-        let sharded = run_cxl_sharded(&exp, 2);
+        let serial = run_cxl_experiment(&exp);
+        let sharded = run_cxl_experiment(&CxlExperiment { shards: 2, ..exp });
         assert!(serial.completed, "{serial:?}");
         assert_eq!(serial, sharded, "shard count must not perturb the cxl run");
     }
@@ -2023,6 +1742,9 @@ pub struct VirtioExperiment {
     pub use_msix: bool,
     /// Virtio device model knobs (class is overridden per arm).
     pub device: VirtioConfig,
+    /// Shards the system is partitioned across (1 = serial). The outcome
+    /// is identical at every shard count.
+    pub shards: usize,
 }
 
 impl Default for VirtioExperiment {
@@ -2035,6 +1757,7 @@ impl Default for VirtioExperiment {
             write: false,
             use_msix: false,
             device: VirtioConfig::default(),
+            shards: 1,
         }
     }
 }
@@ -2144,28 +1867,27 @@ fn collect_virtio_outcome(
     }
 }
 
-/// Runs the experiment under the sharded driver; `shards == 1` is the
-/// serial baseline, and the whole outcome — latencies, throughput,
-/// quiesce tick, stats FNV — must be identical at every shard count.
-pub fn run_virtio_sharded(exp: &VirtioExperiment, shards: usize) -> VirtioOutcome {
+/// Runs the experiment, partitioned across `exp.shards` shards. The whole
+/// outcome — latencies, throughput, quiesce tick, stats FNV — is
+/// identical at every shard count.
+pub fn run_virtio_experiment(exp: &VirtioExperiment) -> VirtioOutcome {
     let mut virtio_reports = Vec::new();
     let mut dd_report = None;
     let mut expected = u64::from(exp.requests);
-    let topo = match exp.arm {
-        VirtioArm::Blk => crate::topology::Topology::virtio_blk_direct(exp.device.clone()),
-        VirtioArm::NetTx => crate::topology::Topology::virtio_net_direct(VirtioConfig {
+    let mut topo = match exp.arm {
+        VirtioArm::Blk => Topology::virtio_blk_direct(exp.device.clone()),
+        VirtioArm::NetTx => Topology::virtio_net_direct(VirtioConfig {
             class: VirtioClass::Net,
             ..exp.device.clone()
         }),
-        VirtioArm::IdeBaseline => crate::topology::Topology::validation(),
-        VirtioArm::Mixed => crate::topology::Topology::virtio_mixed(
+        VirtioArm::IdeBaseline => Topology::validation(),
+        VirtioArm::Mixed => Topology::virtio_mixed(
             VirtioConfig { class: VirtioClass::Blk, ..exp.device.clone() },
             VirtioConfig { class: VirtioClass::Net, ..exp.device.clone() },
         ),
     };
-    let mut topo = topo;
     topo.use_msix = exp.use_msix;
-    let mut sys = crate::topology::build_topology_sharded(topo, shards);
+    let mut sys = build_topology_sharded(topo, exp.shards);
     match exp.arm {
         VirtioArm::Blk | VirtioArm::NetTx => {
             virtio_reports.push(sys.attach_virtio(0, virtio_app_config(exp)));
@@ -2213,11 +1935,6 @@ pub fn run_virtio_sharded(exp: &VirtioExperiment, shards: usize) -> VirtioOutcom
         outcome == RunOutcome::QueueEmpty,
         expected,
     )
-}
-
-/// Runs the experiment serially (the common case for the sweep tables).
-pub fn run_virtio_experiment(exp: &VirtioExperiment) -> VirtioOutcome {
-    run_virtio_sharded(exp, 1)
 }
 
 #[cfg(test)]
@@ -2297,8 +2014,8 @@ mod virtio_exp_tests {
             queue_depth: 2,
             ..VirtioExperiment::default()
         };
-        let serial = run_virtio_sharded(&exp, 1);
-        let sharded = run_virtio_sharded(&exp, 2);
+        let serial = run_virtio_experiment(&exp);
+        let sharded = run_virtio_experiment(&VirtioExperiment { shards: 2, ..exp });
         assert!(serial.completed, "{serial:?}");
         assert_eq!(serial, sharded, "shard count must not perturb the virtio run");
     }

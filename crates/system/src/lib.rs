@@ -10,9 +10,7 @@
 //!   kernel-module MMIO latency probe (Table II);
 //! * [`experiments`] — one entry point per figure/table of the paper's
 //!   evaluation;
-//! * [`snapshot`] — checkpoint/restore over built systems and the
-//!   [`WarmSeed`](snapshot::WarmSeed) that lets warm-started sweeps skip
-//!   enumeration and driver probing.
+//! * [`snapshot`] — checkpoint/restore over built systems.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,29 +27,26 @@ pub mod workload;
 /// Convenient glob import for examples and benches.
 pub mod prelude {
     pub use crate::builder::{
-        build_dual_disk_system, build_legacy_system, build_system, build_system_warm, BuiltSystem,
-        DeviceSpec, DualDiskSystem, LegacySystemConfig, SystemConfig,
+        build_dual_disk_system, build_legacy_system, build_system, BuiltSystem, DeviceSpec,
+        LegacySystemConfig, SystemConfig,
     };
     pub use crate::experiments::{
-        error_rate_ladder, error_rate_sweep, error_rate_sweep_warm, prepare_dd_warm_start,
-        run_cxl_experiment, run_cxl_sharded, run_dd_experiment, run_dd_experiment_warm,
-        run_dd_sweep_warm, run_fault_experiment, run_fault_experiment_warm, run_fault_sweep_warm,
-        run_irq_rx_experiment, run_mmio_experiment, run_msix_tx_experiment, run_nic_rx_experiment,
-        run_nic_tx_experiment, run_pmd_experiment, run_pmd_experiment_warm, run_pmd_sharded,
-        run_pmd_sweep_warm, run_sector_microbench, run_shard_scaling, run_topology_experiment,
-        run_virtio_experiment, run_virtio_sharded, stats_fnv, ContentionOutcome, CxlExperiment,
-        CxlOutcome, CxlPlacement, DdExperiment, DdOutcome, DdWarmStart, FaultExperiment,
-        FaultOutcome, MmioExperiment, MmioOutcome, MsixTxExperiment, MsixTxOutcome,
-        NicRxExperiment, NicRxOutcome, NicTxExperiment, NicTxOutcome, PmdExperiment, PmdOutcome,
-        PmdWarmStart, ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm,
+        error_rate_ladder, error_rate_sweep, run_cxl_experiment, run_dd_experiment,
+        run_fault_experiment, run_irq_rx_experiment, run_mmio_experiment, run_msix_tx_experiment,
+        run_nic_rx_experiment, run_nic_tx_experiment, run_pmd_experiment, run_sector_microbench,
+        run_shard_scaling, run_topology_experiment, run_virtio_experiment, stats_fnv,
+        ContentionOutcome, CxlExperiment, CxlOutcome, CxlPlacement, DdExperiment, DdOutcome,
+        FaultExperiment, FaultOutcome, MmioExperiment, MmioOutcome, MsixTxExperiment,
+        MsixTxOutcome, NicRxExperiment, NicRxOutcome, NicTxExperiment, NicTxOutcome, PmdExperiment,
+        PmdOutcome, ShardScalingOutcome, TopologyExperiment, TopologyOutcome, VirtioArm,
         VirtioExperiment, VirtioOutcome, WARMUP_TICK,
     };
     pub use crate::platform;
-    pub use crate::snapshot::{SystemHandle, WarmSeed};
-    pub use crate::sweep::{default_jobs, run_sweep, run_sweep_warm};
+    pub use crate::snapshot::SystemHandle;
+    pub use crate::sweep::{default_jobs, run_sweep};
     pub use crate::topology::{
-        build_topology, build_topology_sharded, build_topology_warm, Attachment, EndpointHandle,
-        Node, PlannedTopology, ShardedTopologySystem, Topology, TopologySystem,
+        build_topology, build_topology_sharded, Attachment, EndpointHandle, EndpointKind, Node,
+        PlannedTopology, Topology, TopologySystem,
     };
     pub use crate::traffic::{
         heavy_traffic, offered_load_ladder, record_trace, ArrivalProcess, SizeDist, TrafficConfig,

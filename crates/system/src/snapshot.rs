@@ -1,52 +1,23 @@
-//! System-level checkpoint/restore and warm-start seeds.
+//! System-level checkpoint/restore.
 //!
 //! The kernel's [`Simulation::checkpoint`]/[`Simulation::restore`] carry
-//! the complete dynamic state of a component tree; this module adds the
-//! system-side plumbing around them:
-//!
-//! * [`SystemHandle`] — one trait over every built system
-//!   ([`BuiltSystem`], [`TopologySystem`], [`DualDiskSystem`]) exposing
-//!   `checkpoint`/`restore` plus file-backed `checkpoint_to`/
-//!   `restore_from`. The on-disk format is the kernel's checksummed
-//!   checkpoint, whose body leads with the topology fingerprint — a
-//!   checkpoint written from one tree refuses to restore into a
-//!   differently shaped one.
-//! * [`WarmSeed`] — the plain-data record of what the functional
-//!   enumeration software and driver probe computed for a tree. Building
-//!   a second, identically shaped tree from a seed
-//!   ([`build_topology_warm`](crate::topology::build_topology_warm) /
-//!   [`build_system_warm`](crate::builder::build_system_warm)) skips both
-//!   walks; restoring a checkpoint then supplies every config-space
-//!   image. The seed is `Send + Sync`, so one warmed-up reference run can
-//!   fork every point of a parallel sweep.
+//! the complete dynamic state of a component tree; [`SystemHandle`] is
+//! one trait over every built system ([`BuiltSystem`],
+//! [`TopologySystem`]) exposing `checkpoint`/`restore` plus file-backed
+//! `checkpoint_to`/`restore_from`. The on-disk format is the kernel's
+//! checksummed checkpoint, whose body leads with the topology
+//! fingerprint — a checkpoint written from one tree refuses to restore
+//! into a differently shaped one. Restoring into a freshly built tree
+//! (enumerated and probed like the original) resumes the saved run
+//! bit-for-bit.
 
 use std::path::Path;
 
-use pcisim_devices::driver::{InterruptMode, ProbeInfo};
 use pcisim_kernel::sim::Simulation;
 use pcisim_kernel::snapshot::SnapshotError;
-use pcisim_pci::enumeration::EnumerationReport;
 
-use crate::builder::{BuiltSystem, DualDiskSystem};
-use crate::topology::{TopologySystem, MSI_VECTOR};
-
-/// What one functional enumeration + driver-probe pass over a topology
-/// computed, captured as plain data so it can be shared across sweep
-/// worker threads and replayed into identically shaped trees.
-///
-/// A seed deliberately holds no `Rc` handles into the tree it came from:
-/// cloning it is cheap and the clone is independent of the originating
-/// simulation's lifetime.
-#[derive(Debug, Clone)]
-pub struct WarmSeed {
-    /// What the enumeration software found (BDFs, BARs, bus ranges).
-    pub report: EnumerationReport,
-    /// The driver probe result — present when the tree carries exactly
-    /// one endpoint, mirroring [`TopologySystem::probe`].
-    pub probe: Option<ProbeInfo>,
-    /// Interrupt line of each endpoint, in depth-first endpoint order.
-    pub irqs: Vec<u8>,
-}
+use crate::builder::BuiltSystem;
+use crate::topology::TopologySystem;
 
 /// Checkpoint/restore over any built system.
 ///
@@ -121,69 +92,48 @@ impl SystemHandle for BuiltSystem {
 }
 
 impl SystemHandle for TopologySystem {
+    /// # Panics
+    ///
+    /// Panics on a multi-shard system: its state is spread over every
+    /// shard, and shard 0's simulation alone would save a partial image.
+    /// Checkpoint it through [`TopologySystem::into_driver`] and
+    /// [`ShardedSimulator::checkpoint`](pcisim_kernel::shard::ShardedSimulator::checkpoint).
     fn sim_mut(&mut self) -> &mut Simulation {
+        assert_eq!(
+            self.shard_count(),
+            1,
+            "a multi-shard system cannot checkpoint through shard 0; \
+             use into_driver() and ShardedSimulator::checkpoint"
+        );
         &mut self.sim
-    }
-}
-
-impl SystemHandle for DualDiskSystem {
-    fn sim_mut(&mut self) -> &mut Simulation {
-        &mut self.sim
-    }
-}
-
-impl TopologySystem {
-    /// Captures the warm-start seed of this system: everything the
-    /// enumeration software and driver probe computed, as plain data.
-    pub fn warm_seed(&self) -> WarmSeed {
-        WarmSeed {
-            report: self.report.clone(),
-            probe: self.probe.clone(),
-            irqs: self.endpoints.iter().map(|e| e.irq).collect(),
-        }
-    }
-}
-
-impl BuiltSystem {
-    /// Captures the warm-start seed of this system (see
-    /// [`TopologySystem::warm_seed`]).
-    pub fn warm_seed(&self) -> WarmSeed {
-        let irq = match self.probe.interrupt {
-            InterruptMode::Legacy(irq) => irq,
-            // Message-signaled modes route from the base vector; MSI-X
-            // per-queue vectors are base + vector index.
-            InterruptMode::Msi | InterruptMode::Msix { .. } => MSI_VECTOR,
-        };
-        WarmSeed { report: self.report.clone(), probe: Some(self.probe.clone()), irqs: vec![irq] }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_system, build_system_warm, SystemConfig};
+    use crate::builder::{build_system, SystemConfig};
     use crate::workload::dd::DdConfig;
     use pcisim_kernel::sim::RunOutcome;
     use pcisim_kernel::tick::{us, TICKS_PER_SEC};
 
-    fn warm_system() -> (BuiltSystem, WarmSeed) {
+    fn paused_system() -> BuiltSystem {
         let mut built = build_system(SystemConfig::validation());
-        let seed = built.warm_seed();
         let _ = built.attach_dd(DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         assert_eq!(built.sim.run(us(100), u64::MAX), RunOutcome::TimeLimit);
-        (built, seed)
+        built
     }
 
     #[test]
     fn checkpoint_file_round_trips_through_disk() {
-        let (mut built, seed) = warm_system();
+        let mut built = paused_system();
         let dir = std::env::temp_dir().join("pcisim_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round_trip.ckpt");
         let written = built.checkpoint_to(&path).expect("checkpoint written");
         assert_eq!(written, std::fs::metadata(&path).unwrap().len() as usize);
 
-        let mut fresh = build_system_warm(SystemConfig::validation(), &seed);
+        let mut fresh = build_system(SystemConfig::validation());
         let report = fresh.attach_dd(DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         fresh.restore_from(&path).expect("checkpoint restores");
         assert_eq!(fresh.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
@@ -193,19 +143,28 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_typed_io_error() {
-        let (mut built, _) = warm_system();
+        let mut built = paused_system();
         let err = built.restore_from("/nonexistent/pcisim.ckpt").unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
     }
 
     #[test]
     fn mismatched_tree_is_rejected() {
-        let (mut built, _) = warm_system();
+        let mut built = paused_system();
         let snap = built.checkpoint();
         // A dual-disk tree has a different shape; the fingerprint gate
         // must refuse the checkpoint.
         let mut other = crate::builder::build_dual_disk_system(SystemConfig::validation());
         let err = other.restore(&snap).unwrap_err();
         assert!(matches!(err, SnapshotError::TopologyMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-shard system cannot checkpoint")]
+    fn multi_shard_handle_refuses_to_checkpoint_shard_zero_alone() {
+        let mut sys =
+            crate::topology::build_topology_sharded(crate::topology::Topology::cascaded(3), 2);
+        assert_eq!(sys.shard_count(), 2);
+        let _ = sys.checkpoint();
     }
 }

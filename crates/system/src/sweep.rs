@@ -63,32 +63,6 @@ where
         .collect()
 }
 
-/// Warm-started variant of [`run_sweep`]: runs `prepare` exactly once to
-/// produce shared warm-start state (e.g. a warmed-up checkpoint plus its
-/// [`WarmSeed`](crate::snapshot::WarmSeed)), then fans `run(config,
-/// &shared)` across workers exactly like [`run_sweep`].
-///
-/// When `configs` is empty, `prepare` is never called — an empty sweep
-/// pays for no warmup.
-///
-/// # Panics
-///
-/// Propagates a panic from `prepare` or any worker.
-pub fn run_sweep_warm<C, S, R, P, F>(configs: &[C], jobs: usize, prepare: P, run: F) -> Vec<R>
-where
-    C: Sync,
-    S: Sync,
-    R: Send,
-    P: FnOnce() -> S,
-    F: Fn(&C, &S) -> R + Sync,
-{
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let shared = prepare();
-    run_sweep(configs, jobs, |c| run(c, &shared))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,28 +92,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert_eq!(run_sweep(&empty, 8, |&c| c), Vec::<u32>::new());
         assert_eq!(run_sweep(&[7u32], 8, |&c| c + 1), vec![8]);
-    }
-
-    #[test]
-    fn warm_sweep_prepares_once_and_only_when_needed() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let prepared = AtomicUsize::new(0);
-        let configs: Vec<u64> = (0..9).collect();
-        let out = run_sweep_warm(
-            &configs,
-            4,
-            || {
-                prepared.fetch_add(1, Ordering::SeqCst);
-                100u64
-            },
-            |&c, &base| base + c,
-        );
-        assert_eq!(prepared.load(Ordering::SeqCst), 1);
-        assert_eq!(out, (100..109).collect::<Vec<_>>());
-
-        let empty: Vec<u64> = Vec::new();
-        let out = run_sweep_warm(&empty, 4, || panic!("prepare must be lazy"), |&c, &(): &()| c);
-        assert!(out.is_empty());
     }
 
     #[test]

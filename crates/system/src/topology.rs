@@ -61,7 +61,6 @@ use pcisim_pcie::router::{
 
 use crate::builder::DeviceSpec;
 use crate::platform;
-use crate::snapshot::WarmSeed;
 use crate::workload::cxl::{CxlHostApp, CxlHostConfig, CxlHostReportHandle, CXL_HOST_MEM_PORT};
 use crate::workload::dd::{DdApp, DdConfig, DdReportHandle, DD_IRQ_PORT, DD_MEM_PORT};
 use crate::workload::mmio::{MmioProbe, MmioProbeConfig, MmioReportHandle, MMIO_MEM_PORT};
@@ -586,6 +585,35 @@ pub struct PlannedRouter {
     pub parent: Option<PlannedEdge>,
 }
 
+/// The device class of an endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EndpointKind {
+    /// The IDE disk.
+    Disk,
+    /// The 8254x-pcie NIC.
+    Nic,
+    /// A CXL.mem memory expander.
+    Cxl,
+    /// A virtio-blk function.
+    VirtioBlk,
+    /// A virtio-net function.
+    VirtioNet,
+}
+
+impl EndpointKind {
+    fn of(device: &DeviceSpec) -> Self {
+        match device {
+            DeviceSpec::Disk(_) => Self::Disk,
+            DeviceSpec::Nic(_) => Self::Nic,
+            DeviceSpec::CxlExpander(_) => Self::Cxl,
+            DeviceSpec::Virtio(c) => match c.class {
+                VirtioClass::Blk => Self::VirtioBlk,
+                VirtioClass::Net => Self::VirtioNet,
+            },
+        }
+    }
+}
+
 /// An endpoint of a planned topology.
 #[derive(Debug, Clone)]
 pub struct PlannedEndpoint {
@@ -597,14 +625,8 @@ pub struct PlannedEndpoint {
     pub parent: PlannedEdge,
     /// The endpoint's configuration space.
     pub config_space: SharedConfigSpace,
-    /// Whether the endpoint is the IDE disk (else a NIC or expander).
-    pub is_disk: bool,
-    /// Whether the endpoint is a CXL.mem expander.
-    pub is_cxl: bool,
-    /// Whether the endpoint is a virtio-blk function.
-    pub is_virtio_blk: bool,
-    /// Whether the endpoint is a virtio-net function.
-    pub is_virtio_net: bool,
+    /// The endpoint's device class.
+    pub kind: EndpointKind,
     /// The HDM decoder window assigned to the expander (empty for every
     /// other device class).
     pub hdm: AddrRange,
@@ -761,16 +783,7 @@ impl Planner {
                     bdf,
                     parent: edge,
                     config_space: cs,
-                    is_disk: matches!(device, DeviceSpec::Disk(_)),
-                    is_cxl: matches!(device, DeviceSpec::CxlExpander(_)),
-                    is_virtio_blk: matches!(
-                        device,
-                        DeviceSpec::Virtio(c) if c.class == VirtioClass::Blk
-                    ),
-                    is_virtio_net: matches!(
-                        device,
-                        DeviceSpec::Virtio(c) if c.class == VirtioClass::Net
-                    ),
+                    kind: EndpointKind::of(device),
                     hdm,
                     virtio_ring,
                 });
@@ -840,14 +853,8 @@ pub struct EndpointHandle {
     pub bar0: u64,
     /// Its interrupt line (legacy INTx or the MSI vector).
     pub irq: u8,
-    /// Whether it is the IDE disk (else a NIC or expander).
-    pub is_disk: bool,
-    /// Whether it is a CXL.mem expander.
-    pub is_cxl: bool,
-    /// Whether it is a virtio-blk function.
-    pub is_virtio_blk: bool,
-    /// Whether it is a virtio-net function.
-    pub is_virtio_net: bool,
+    /// Its device class; every `attach_*` checks it.
+    pub kind: EndpointKind,
     /// The expander's HDM decoder window (empty for other devices).
     pub hdm: AddrRange,
     /// The function's virtqueue window in host DRAM (empty for other
@@ -864,10 +871,29 @@ pub struct EndpointHandle {
 
 /// A wired, enumerated, driver-initialized system built from a
 /// [`Topology`], awaiting workloads.
+///
+/// The tree may be partitioned across several shards (see
+/// [`build_topology_sharded`]); a plain [`build_topology`] is the
+/// one-shard case. Shard 0 holds the host cluster and every workload,
+/// and is the only shard a one-shard system has. Every shard carries the
+/// full-length component arena: the owning shard gets the real
+/// component, every other shard an empty *remote* slot under the same
+/// name, so global component ids, names and the connection table (and
+/// hence the topology fingerprint) agree across shards.
 pub struct TopologySystem {
-    /// The simulation holding every component.
+    /// Shard 0's simulation: the whole tree when the system has one
+    /// shard. Drive a multi-shard system through
+    /// [`TopologySystem::into_driver`] instead.
     pub sim: Simulation,
-    /// The PCI host registry (for further functional config access).
+    /// Shards `1..n`.
+    other_shards: Vec<Simulation>,
+    /// Which shard owns each component, by global id.
+    placements: Vec<Placement>,
+    /// Directed mailbox edges, two per cut link.
+    edges: Vec<EdgeSpec>,
+    /// The PCI host registry (for further functional config access —
+    /// only before the driver runs; config spaces are not synchronized
+    /// across shards mid-run).
     pub registry: SharedRegistry,
     /// What the enumeration software found.
     pub report: EnumerationReport,
@@ -891,44 +917,147 @@ impl TopologySystem {
             .unwrap_or_else(|| panic!("no endpoint named {name}"))
     }
 
+    /// Number of shards the tree was partitioned across.
+    pub fn shard_count(&self) -> usize {
+        1 + self.other_shards.len()
+    }
+
+    /// Number of cut links (half the directed edge count).
+    pub fn cut_count(&self) -> usize {
+        self.edges.len() / 2
+    }
+
+    /// Seals the system into the conservative parallel driver. Call after
+    /// every workload is attached. A one-shard driver runs
+    /// [`Simulation::run`] inline.
+    pub fn into_driver(self) -> ShardedSimulator {
+        let sims = std::iter::once(self.sim).chain(self.other_shards).collect();
+        ShardedSimulator::new(
+            sims,
+            ShardPlan {
+                placements: self.placements,
+                edges: self.edges,
+                route_end: link_event_dest_end,
+            },
+        )
+    }
+
+    fn shards_mut(&mut self) -> impl Iterator<Item = &mut Simulation> {
+        std::iter::once(&mut self.sim).chain(self.other_shards.iter_mut())
+    }
+
+    /// Adds `comp` to shard `shard`, remote slots elsewhere.
+    fn add(&mut self, shard: u32, comp: Box<dyn Component>) -> ComponentId {
+        let name = comp.name().to_owned();
+        let mut comp = Some(comp);
+        let mut id = None;
+        for (i, sim) in self.shards_mut().enumerate() {
+            let cid = if i == shard as usize {
+                sim.add(comp.take().expect("one owner per component"))
+            } else {
+                sim.add_remote(&name)
+            };
+            debug_assert!(id.is_none_or(|p| p == cid), "gids must be global");
+            id = Some(cid);
+        }
+        self.placements.push(Placement::Shard(shard));
+        id.expect("at least one shard")
+    }
+
+    /// Adds a cut link's two halves under one shared gid: `h0` (physical
+    /// end 0, the upstream side) to shard `s0`, `h1` to `s1`.
+    fn add_split(
+        &mut self,
+        s0: u32,
+        h0: Box<dyn Component>,
+        s1: u32,
+        h1: Box<dyn Component>,
+    ) -> ComponentId {
+        assert_ne!(s0, s1, "a split link's halves must live in different shards");
+        debug_assert_eq!(h0.name(), h1.name());
+        let name = h0.name().to_owned();
+        let (mut h0, mut h1) = (Some(h0), Some(h1));
+        let mut id = None;
+        for (i, sim) in self.shards_mut().enumerate() {
+            let cid = if i == s0 as usize {
+                sim.add(h0.take().expect("one owner per half"))
+            } else if i == s1 as usize {
+                sim.add(h1.take().expect("one owner per half"))
+            } else {
+                sim.add_remote(&name)
+            };
+            debug_assert!(id.is_none_or(|p| p == cid), "gids must be global");
+            id = Some(cid);
+        }
+        self.placements.push(Placement::Split { end0: s0, end1: s1 });
+        id.expect("at least one shard")
+    }
+
+    /// Replicates a connection into every shard's table.
+    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
+        for sim in self.shards_mut() {
+            sim.connect(a, b);
+        }
+    }
+
+    /// Adds a CPU-side workload to shard 0, where the memory bus and the
+    /// interrupt controller live, and wires each of its `(port, peer)`
+    /// pairs.
+    fn attach_cpu_side(
+        &mut self,
+        comp: Box<dyn Component>,
+        wires: &[(PortId, (ComponentId, PortId))],
+    ) {
+        let id = self.add(0, comp);
+        for &(port, peer) in wires {
+            self.connect((id, port), peer);
+        }
+    }
+
+    /// Endpoint `index`, checked to be one of `kinds`.
+    fn endpoint_of(&self, index: usize, kinds: &[EndpointKind], what: &str) -> &EndpointHandle {
+        let ep = &self.endpoints[index];
+        assert!(
+            kinds.contains(&ep.kind),
+            "endpoint {index} ({}, {:?}) is not {what}",
+            ep.name,
+            ep.kind
+        );
+        ep
+    }
+
     /// Attaches a `dd` workload (named `dd{index}`) to endpoint `index`,
     /// which must be a disk.
     pub fn attach_dd(&mut self, index: usize, mut config: DdConfig) -> DdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_disk, "endpoint {index} ({}) is not a disk", ep.name);
+        let ep = self.endpoint_of(index, &[EndpointKind::Disk], "a disk");
         config.disk_bar = ep.bar0;
         // Distinct DMA buffers so DRAM traffic does not alias.
         config.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
+        let wires = [(DD_MEM_PORT, ep.cpu_mem_port), (DD_IRQ_PORT, ep.cpu_irq_port)];
         let (dd, report) = DdApp::new(format!("dd{index}"), config);
-        let id = self.sim.add(Box::new(dd));
-        self.sim.connect((id, DD_MEM_PORT), ep.cpu_mem_port);
-        self.sim.connect((id, DD_IRQ_PORT), ep.cpu_irq_port);
+        self.attach_cpu_side(Box::new(dd), &wires);
         report
     }
 
     /// Attaches a NIC transmit workload (named `nictx{index}`) to
     /// endpoint `index`, which must be a NIC.
     pub fn attach_nic_tx(&mut self, index: usize, mut config: NicTxConfig) -> NicTxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
+        let ep = self.endpoint_of(index, &[EndpointKind::Nic], "a NIC");
         config.nic_bar = ep.bar0;
+        let wires = [(NIC_TX_MEM_PORT, ep.cpu_mem_port), (NIC_TX_IRQ_PORT, ep.cpu_irq_port)];
         let (app, report) = NicTxApp::new(format!("nictx{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, NIC_TX_MEM_PORT), ep.cpu_mem_port);
-        self.sim.connect((id, NIC_TX_IRQ_PORT), ep.cpu_irq_port);
+        self.attach_cpu_side(Box::new(app), &wires);
         report
     }
 
     /// Attaches a NIC receive workload (named `nicrx{index}`) to endpoint
     /// `index`, which must be a NIC with `rx_stream` configured.
     pub fn attach_nic_rx(&mut self, index: usize, mut config: NicRxConfig) -> NicRxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
+        let ep = self.endpoint_of(index, &[EndpointKind::Nic], "a NIC");
         config.nic_bar = ep.bar0;
+        let wires = [(NIC_RX_MEM_PORT, ep.cpu_mem_port), (NIC_RX_IRQ_PORT, ep.cpu_irq_port)];
         let (app, report) = NicRxApp::new(format!("nicrx{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, NIC_RX_MEM_PORT), ep.cpu_mem_port);
-        self.sim.connect((id, NIC_RX_IRQ_PORT), ep.cpu_irq_port);
+        self.attach_cpu_side(Box::new(app), &wires);
         report
     }
 
@@ -941,9 +1070,9 @@ impl TopologySystem {
     ) -> MmioReportHandle {
         let ep = &self.endpoints[index];
         config.target = ep.bar0 + 0x0008;
+        let wires = [(MMIO_MEM_PORT, ep.cpu_mem_port)];
         let (probe, report) = MmioProbe::new(format!("mmio_probe{index}"), config);
-        let id = self.sim.add(Box::new(probe));
-        self.sim.connect((id, MMIO_MEM_PORT), ep.cpu_mem_port);
+        self.attach_cpu_side(Box::new(probe), &wires);
         report
     }
 
@@ -951,12 +1080,11 @@ impl TopologySystem {
     /// endpoint `index`, which must be a NIC. Only the memory port is
     /// wired — the poll-mode datapath never takes an interrupt.
     pub fn attach_pmd(&mut self, index: usize, mut config: PmdConfig) -> PmdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
+        let ep = self.endpoint_of(index, &[EndpointKind::Nic], "a NIC");
         config.nic_bar = ep.bar0;
+        let wires = [(PMD_MEM_PORT, ep.cpu_mem_port)];
         let (app, report) = PmdApp::new(format!("pmd{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, PMD_MEM_PORT), ep.cpu_mem_port);
+        self.attach_cpu_side(Box::new(app), &wires);
         report
     }
 
@@ -967,13 +1095,12 @@ impl TopologySystem {
         index: usize,
         mut config: CxlHostConfig,
     ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_cxl, "endpoint {index} ({}) is not a CXL expander", ep.name);
+        let ep = self.endpoint_of(index, &[EndpointKind::Cxl], "a CXL expander");
         config.window = ep.hdm;
         config.use_cxl = true;
+        let wires = [(CXL_HOST_MEM_PORT, ep.cpu_mem_port)];
         let (app, report) = CxlHostApp::new(format!("cxlhost{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, CXL_HOST_MEM_PORT), ep.cpu_mem_port);
+        self.attach_cpu_side(Box::new(app), &wires);
         report
     }
 
@@ -986,13 +1113,12 @@ impl TopologySystem {
         index: usize,
         mut config: CxlHostConfig,
     ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
         config.window =
             AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
         config.use_cxl = false;
+        let wires = [(CXL_HOST_MEM_PORT, self.endpoints[index].cpu_mem_port)];
         let (app, report) = CxlHostApp::new(format!("dramhost{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, CXL_HOST_MEM_PORT), ep.cpu_mem_port);
+        self.attach_cpu_side(Box::new(app), &wires);
         report
     }
 
@@ -1005,47 +1131,56 @@ impl TopologySystem {
         index: usize,
         mut config: VirtioAppConfig,
     ) -> VirtioReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(
-            ep.is_virtio_blk || ep.is_virtio_net,
-            "endpoint {index} ({}) is not a virtio function",
-            ep.name
+        let ep = self.endpoint_of(
+            index,
+            &[EndpointKind::VirtioBlk, EndpointKind::VirtioNet],
+            "a virtio function",
         );
-        config.class = if ep.is_virtio_blk { VirtioClass::Blk } else { VirtioClass::Net };
+        config.class =
+            if ep.kind == EndpointKind::VirtioBlk { VirtioClass::Blk } else { VirtioClass::Net };
         config.bar0 = ep.bar0;
         config.ring_base = ep.virtio_ring.start();
+        let mut wires = vec![(VIRTIO_APP_MEM_PORT, ep.cpu_mem_port)];
         if config.use_msix {
             assert!(ep.cpu_irq_ports.len() > 1, "MSI-X vectors not enabled for {}", ep.name);
-        }
-        let use_msix = config.use_msix;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let vector_ports = ep.cpu_irq_ports.clone();
-        let (app, report) = VirtioApp::new(format!("vdrv{index}"), config);
-        let id = self.sim.add(Box::new(app));
-        self.sim.connect((id, VIRTIO_APP_MEM_PORT), mem);
-        if use_msix {
-            for (v, port) in vector_ports.iter().enumerate() {
-                self.sim.connect((id, virtio_app_irq_port(v as u16)), *port);
+            for (v, port) in ep.cpu_irq_ports.iter().enumerate() {
+                wires.push((virtio_app_irq_port(v as u16), *port));
             }
         } else {
-            self.sim.connect((id, VIRTIO_APP_IRQ_PORT), irq);
+            wires.push((VIRTIO_APP_IRQ_PORT, ep.cpu_irq_port));
         }
+        let (app, report) = VirtioApp::new(format!("vdrv{index}"), config);
+        self.attach_cpu_side(Box::new(app), &wires);
         report
     }
 }
 
 /// Builds the full system for a [`Topology`]: plans and registers the
 /// tree, runs enumeration and driver setup, then instantiates and wires
-/// every component.
+/// every component into one simulation. The one-shard case of
+/// [`build_topology_sharded`].
 ///
 /// # Panics
 ///
 /// Panics when enumeration or the driver probe fails, or when `use_msi`
 /// is set on a tree that does not carry exactly one endpoint.
 pub fn build_topology(topo: Topology) -> TopologySystem {
+    build_topology_sharded(topo, 1)
+}
+
+/// Builds the full system for a [`Topology`] partitioned across `shards`
+/// simulations. The partition is chosen by [`partition_plan`]:
+/// deterministic, cut only at link boundaries, host cluster in shard 0.
+/// Every shard count runs bit-identically to `shards == 1`.
+///
+/// # Panics
+///
+/// Same contract as [`build_topology`], plus `shards >= 1`.
+pub fn build_topology_sharded(topo: Topology, shards: usize) -> TopologySystem {
     let plan = topo.plan();
     let (report, probe, irqs) = enumerate_and_probe(&topo, &plan);
-    build_planned(&topo, plan, report, probe, irqs)
+    let assignment = partition_plan(&plan, shards);
+    build_planned(&topo, plan, report, probe, irqs, &assignment, shards)
 }
 
 /// Shared functional front half of every build: runs enumeration over the
@@ -1074,16 +1209,12 @@ fn enumerate_and_probe(
         } else {
             MsiPolicy::LegacyOnly
         };
-        let table = if plan.endpoints[0].is_disk {
-            pcisim_devices::driver::IDE_DEVICE_TABLE
-        } else if plan.endpoints[0].is_cxl {
-            pcisim_devices::driver::CXL_DEVICE_TABLE
-        } else if plan.endpoints[0].is_virtio_blk {
-            pcisim_devices::driver::VIRTIO_BLK_DEVICE_TABLE
-        } else if plan.endpoints[0].is_virtio_net {
-            pcisim_devices::driver::VIRTIO_NET_DEVICE_TABLE
-        } else {
-            pcisim_devices::driver::E1000E_DEVICE_TABLE
+        let table = match plan.endpoints[0].kind {
+            EndpointKind::Disk => pcisim_devices::driver::IDE_DEVICE_TABLE,
+            EndpointKind::Nic => pcisim_devices::driver::E1000E_DEVICE_TABLE,
+            EndpointKind::Cxl => pcisim_devices::driver::CXL_DEVICE_TABLE,
+            EndpointKind::VirtioBlk => pcisim_devices::driver::VIRTIO_BLK_DEVICE_TABLE,
+            EndpointKind::VirtioNet => pcisim_devices::driver::VIRTIO_NET_DEVICE_TABLE,
         };
         let info = probe_with_policy(&mut plan.registry.clone(), &report, table, msi_policy)
             .expect("topology must probe");
@@ -1108,104 +1239,6 @@ fn enumerate_and_probe(
         }
     }
     (report, probe, irqs)
-}
-
-/// Builds the system for a [`Topology`] *without* running enumeration or
-/// the driver probe, replaying a [`WarmSeed`] captured from a previous
-/// build of an identically shaped tree instead.
-///
-/// Because the functional walks are skipped, every configuration space
-/// stays at its reset values: the returned system is only meaningful once
-/// a checkpoint from the seeding run is restored into it (the checkpoint
-/// carries every config-space image through the PCI host section). The
-/// tree's *configuration* — link widths, latencies, buffer depths — comes
-/// entirely from `topo`, which is what makes warm-started parameter
-/// sweeps possible: one warmed-up reference run forks into many
-/// differently parameterized points.
-pub fn build_topology_warm(topo: &Topology, seed: &WarmSeed) -> TopologySystem {
-    let plan = topo.plan();
-    assert_eq!(
-        plan.endpoints.len(),
-        seed.irqs.len(),
-        "warm seed records {} endpoints, tree has {}",
-        seed.irqs.len(),
-        plan.endpoints.len()
-    );
-    build_planned(topo, plan, seed.report.clone(), seed.probe.clone(), seed.irqs.clone())
-}
-
-/// One simulation per shard plus the placement table built alongside it.
-/// The serial builder is the one-shard special case, so every topology —
-/// sharded or not — is wired by the same code in the same component
-/// order, which is what makes `--shards N` bit-identical to `--shards 1`.
-///
-/// Every shard carries the full-length arena: the owning shard gets the
-/// real component, every other shard an empty *remote* slot under the
-/// same name, so global component ids, names and the connection table
-/// (and hence the topology fingerprint) agree across shards.
-struct SimSet {
-    sims: Vec<Simulation>,
-    placements: Vec<Placement>,
-}
-
-impl SimSet {
-    fn new(n: usize) -> Self {
-        Self { sims: (0..n).map(|_| Simulation::new()).collect(), placements: Vec::new() }
-    }
-
-    /// Adds `comp` to shard `shard`, remote slots elsewhere.
-    fn add(&mut self, shard: u32, comp: Box<dyn Component>) -> ComponentId {
-        let name = comp.name().to_owned();
-        let mut comp = Some(comp);
-        let mut id = None;
-        for (i, sim) in self.sims.iter_mut().enumerate() {
-            let cid = if i == shard as usize {
-                sim.add(comp.take().expect("one owner per component"))
-            } else {
-                sim.add_remote(&name)
-            };
-            debug_assert!(id.is_none_or(|p| p == cid), "gids must be global");
-            id = Some(cid);
-        }
-        self.placements.push(Placement::Shard(shard));
-        id.expect("at least one shard")
-    }
-
-    /// Adds a cut link's two halves under one shared gid: `h0` (physical
-    /// end 0, the upstream side) to shard `s0`, `h1` to `s1`.
-    fn add_split(
-        &mut self,
-        s0: u32,
-        h0: Box<dyn Component>,
-        s1: u32,
-        h1: Box<dyn Component>,
-    ) -> ComponentId {
-        assert_ne!(s0, s1, "a split link's halves must live in different shards");
-        debug_assert_eq!(h0.name(), h1.name());
-        let name = h0.name().to_owned();
-        let (mut h0, mut h1) = (Some(h0), Some(h1));
-        let mut id = None;
-        for (i, sim) in self.sims.iter_mut().enumerate() {
-            let cid = if i == s0 as usize {
-                sim.add(h0.take().expect("one owner per half"))
-            } else if i == s1 as usize {
-                sim.add(h1.take().expect("one owner per half"))
-            } else {
-                sim.add_remote(&name)
-            };
-            debug_assert!(id.is_none_or(|p| p == cid), "gids must be global");
-            id = Some(cid);
-        }
-        self.placements.push(Placement::Split { end0: s0, end1: s1 });
-        id.expect("at least one shard")
-    }
-
-    /// Replicates a connection into every shard's table.
-    fn connect(&mut self, a: (ComponentId, PortId), b: (ComponentId, PortId)) {
-        for sim in &mut self.sims {
-            sim.connect(a, b);
-        }
-    }
 }
 
 /// Which shard each tree node of a plan runs in. The root complex (and
@@ -1324,45 +1357,12 @@ fn partition_plan(plan: &PlannedTopology, shards: usize) -> Assignment {
     assignment
 }
 
-/// Shared back half of [`build_topology`]/[`build_topology_warm`]:
-/// instantiates and wires every component from the plan plus the
-/// (freshly computed or seed-replayed) enumeration and probe results.
-fn build_planned(
-    topo: &Topology,
-    plan: PlannedTopology,
-    report: EnumerationReport,
-    probe: Option<ProbeInfo>,
-    irqs: Vec<u8>,
-) -> TopologySystem {
-    let assignment = Assignment::serial(&plan);
-    let (set, parts) = build_planned_multi(topo, plan, report, probe, irqs, &assignment, 1);
-    let SimSet { mut sims, .. } = set;
-    let mut sim = sims.pop().expect("one shard");
-    sim.set_trace_mask(topo.trace_mask);
-    TopologySystem {
-        sim,
-        registry: parts.registry,
-        report: parts.report,
-        probe: parts.probe,
-        endpoints: parts.endpoints,
-    }
-}
-
-/// The build products shared by the serial and sharded front ends.
-struct BuiltParts {
-    registry: SharedRegistry,
-    report: EnumerationReport,
-    probe: Option<ProbeInfo>,
-    endpoints: Vec<EndpointHandle>,
-    edges: Vec<EdgeSpec>,
-}
-
 /// Instantiates and wires every component of the plan across `shards`
 /// simulations according to `assignment`. Tree links whose two sides land
 /// in different shards become [`PcieLinkHalf`] pairs sharing the fused
 /// link's name and gid, with a directed [`EdgeSpec`] pair whose lookahead
 /// horizon is [`link_lookahead`] of the cut link's configuration.
-fn build_planned_multi(
+fn build_planned(
     topo: &Topology,
     plan: PlannedTopology,
     report: EnumerationReport,
@@ -1370,7 +1370,7 @@ fn build_planned_multi(
     irqs: Vec<u8>,
     assignment: &Assignment,
     shards: usize,
-) -> (SimSet, BuiltParts) {
+) -> TopologySystem {
     // Patch each device's interrupt target now that the IRQs are known.
     let mut devices = plan.devices;
     for (dev, &irq) in devices.iter_mut().zip(&irqs) {
@@ -1401,8 +1401,6 @@ fn build_planned_multi(
     }
 
     // --- Components: memory side first, then the PCIe tree depth-first.
-    let mut set = SimSet::new(shards);
-    let mut edges: Vec<EdgeSpec> = Vec::new();
     let mut intc = InterruptController::new("gic", platform::intc_range());
     // Per-endpoint interrupt vector lists: one legacy line or MSI vector,
     // or — under MSI-X — one doorbell word per table entry, base + index.
@@ -1428,6 +1426,16 @@ fn build_planned_multi(
                 .collect()
         })
         .collect();
+    let mut sys = TopologySystem {
+        sim: Simulation::new(),
+        other_shards: (1..shards).map(|_| Simulation::new()).collect(),
+        placements: Vec::new(),
+        edges: Vec::new(),
+        registry: plan.registry,
+        report,
+        probe,
+        endpoints: Vec::with_capacity(plan.endpoints.len()),
+    };
 
     // Port map: 0 = first CPU workload, 1 = DRAM, 2 = INTC, 3 = PCI
     // host, 4 = RC upstream slave (both PCI windows), 5 = IOCache memory
@@ -1445,16 +1453,19 @@ fn build_planned_multi(
     // The HDM region routes toward the root complex only when the tree
     // actually carries an expander, so CXL-free topologies keep their
     // exact historical route table (and golden fingerprints).
-    if plan.endpoints.iter().any(|e| e.is_cxl) {
+    if plan.endpoints.iter().any(|e| e.kind == EndpointKind::Cxl) {
         membus = membus.route(platform::cxl_hdm_range(), PortId(4));
     }
-    let membus_id = set.add(0, Box::new(membus.build()));
+    let membus_id = sys.add(0, Box::new(membus.build()));
     // Virtqueues live in DRAM and are walked through real reads, so trees
     // carrying a virtio function need the functional backing store. Gated
     // so virtio-free topologies keep their exact historical DRAM snapshot
     // layout (and golden fingerprints).
-    let functional_dram = plan.endpoints.iter().any(|e| e.is_virtio_blk || e.is_virtio_net);
-    let dram_id = set.add(
+    let functional_dram = plan
+        .endpoints
+        .iter()
+        .any(|e| matches!(e.kind, EndpointKind::VirtioBlk | EndpointKind::VirtioNet));
+    let dram_id = sys.add(
         0,
         Box::new(
             Dram::builder("dram", platform::dram_range())
@@ -1464,19 +1475,19 @@ fn build_planned_multi(
                 .build(),
         ),
     );
-    let intc_id = set.add(0, Box::new(intc));
-    let host_id = set.add(
+    let intc_id = sys.add(0, Box::new(intc));
+    let host_id = sys.add(
         0,
         Box::new(PciHost::new(
             "pcihost",
             platform::PCI_CONFIG_BASE,
             platform::PCI_CONFIG_SIZE,
             topo.pcihost_latency,
-            plan.registry.clone(),
+            sys.registry.clone(),
         )),
     );
     let iocache_id =
-        set.add(0, Box::new(IoCache::builder("iocache").mshrs(topo.iocache_mshrs).build()));
+        sys.add(0, Box::new(IoCache::builder("iocache").mshrs(topo.iocache_mshrs).build()));
 
     let rc = &plan.routers[0];
     let mut rc_router =
@@ -1484,14 +1495,14 @@ fn build_planned_multi(
     for &(range, pair) in &hdm_routes[0] {
         rc_router.add_hdm_route(range, pair);
     }
-    let rc_id = set.add(0, Box::new(rc_router));
+    let rc_id = sys.add(0, Box::new(rc_router));
 
-    set.connect((membus_id, PortId(1)), (dram_id, DRAM_PORT));
-    set.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
-    set.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
-    set.connect((membus_id, PortId(4)), (rc_id, PORT_UPSTREAM_SLAVE));
-    set.connect((rc_id, PORT_UPSTREAM_MASTER), (iocache_id, IOCACHE_DEV_SIDE));
-    set.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
+    sys.connect((membus_id, PortId(1)), (dram_id, DRAM_PORT));
+    sys.connect((membus_id, PortId(2)), (intc_id, INTC_FABRIC_PORT));
+    sys.connect((membus_id, PortId(3)), (host_id, PCI_HOST_PORT));
+    sys.connect((membus_id, PortId(4)), (rc_id, PORT_UPSTREAM_SLAVE));
+    sys.connect((rc_id, PORT_UPSTREAM_MASTER), (iocache_id, IOCACHE_DEV_SIDE));
+    sys.connect((iocache_id, IOCACHE_MEM_SIDE), (membus_id, PortId(5)));
 
     // PCIe tree: every edge gets a link whose AER endpoints are the
     // parent port's VP2P and the child's upstream config space. Links
@@ -1500,7 +1511,6 @@ fn build_planned_multi(
     // config space its own shard touches, so no `Rc` state crosses a cut.
     let mut router_ids = vec![rc_id];
     let mut devices = devices.into_iter();
-    let mut endpoint_handles = Vec::with_capacity(plan.endpoints.len());
     for item in &plan.order {
         let (edge, child_cs, child_shard) = match item {
             PlannedItem::Switch(i) => {
@@ -1522,19 +1532,19 @@ fn build_planned_multi(
         let link_id = if parent_shard == child_shard {
             let mut link = PcieLink::new(edge.link_name.clone(), edge.link.clone());
             link.attach_aer(Some(parent_cs), Some(child_cs));
-            set.add(parent_shard, Box::new(link))
+            sys.add(parent_shard, Box::new(link))
         } else {
             let horizon = link_lookahead(&edge.link);
             assert!(horizon > 0, "cut link {} has zero lookahead", edge.link_name);
-            let fwd = edges.len() as u32;
-            edges.push(EdgeSpec {
+            let fwd = sys.edges.len() as u32;
+            sys.edges.push(EdgeSpec {
                 from_shard: parent_shard,
                 to_shard: child_shard,
                 dest: ComponentId(0), // patched below, once the gid is known
                 horizon,
             });
-            let rev = edges.len() as u32;
-            edges.push(EdgeSpec {
+            let rev = sys.edges.len() as u32;
+            sys.edges.push(EdgeSpec {
                 from_shard: child_shard,
                 to_shard: parent_shard,
                 dest: ComponentId(0),
@@ -1545,13 +1555,13 @@ fn build_planned_multi(
             let mut down =
                 PcieLinkHalf::new_downstream(edge.link_name.clone(), edge.link.clone(), rev);
             down.attach_aer(Some(child_cs));
-            let id = set.add_split(parent_shard, Box::new(up), child_shard, Box::new(down));
-            edges[fwd as usize].dest = id;
-            edges[rev as usize].dest = id;
+            let id = sys.add_split(parent_shard, Box::new(up), child_shard, Box::new(down));
+            sys.edges[fwd as usize].dest = id;
+            sys.edges[rev as usize].dest = id;
             id
         };
-        set.connect((parent_id, port_downstream_master(edge.pair)), (link_id, PORT_UP_SLAVE));
-        set.connect((parent_id, port_downstream_slave(edge.pair)), (link_id, PORT_UP_MASTER));
+        sys.connect((parent_id, port_downstream_master(edge.pair)), (link_id, PORT_UP_SLAVE));
+        sys.connect((parent_id, port_downstream_slave(edge.pair)), (link_id, PORT_UP_MASTER));
         match item {
             PlannedItem::Switch(i) => {
                 let r = &plan.routers[*i];
@@ -1565,44 +1575,43 @@ fn build_planned_multi(
                 for &(range, pair) in &hdm_routes[*i] {
                     switch.add_hdm_route(range, pair);
                 }
-                let id = set.add(child_shard, Box::new(switch));
+                let id = sys.add(child_shard, Box::new(switch));
                 router_ids.push(id);
-                set.connect((link_id, PORT_DOWN_MASTER), (id, PORT_UPSTREAM_SLAVE));
-                set.connect((link_id, PORT_DOWN_SLAVE), (id, PORT_UPSTREAM_MASTER));
+                sys.connect((link_id, PORT_DOWN_MASTER), (id, PORT_UPSTREAM_SLAVE));
+                sys.connect((link_id, PORT_DOWN_SLAVE), (id, PORT_UPSTREAM_MASTER));
             }
             PlannedItem::Endpoint(i) => {
                 let ep = &plan.endpoints[*i];
                 let (dev_id, pio, dma) = match devices.next().expect("device per endpoint") {
                     EndpointDevice::Disk(disk) => {
-                        (set.add(child_shard, disk), IDE_PIO_PORT, IDE_DMA_PORT)
+                        (sys.add(child_shard, disk), IDE_PIO_PORT, IDE_DMA_PORT)
                     }
                     EndpointDevice::Nic(nic) => {
-                        (set.add(child_shard, nic), NIC_PIO_PORT, NIC_DMA_PORT)
+                        (sys.add(child_shard, nic), NIC_PIO_PORT, NIC_DMA_PORT)
                     }
                     EndpointDevice::Cxl(exp) => {
-                        (set.add(child_shard, exp), CXL_PIO_PORT, CXL_DMA_PORT)
+                        (sys.add(child_shard, exp), CXL_PIO_PORT, CXL_DMA_PORT)
                     }
                     EndpointDevice::Virtio(dev) => {
-                        (set.add(child_shard, dev), VIRTIO_PIO_PORT, VIRTIO_DMA_PORT)
+                        (sys.add(child_shard, dev), VIRTIO_PIO_PORT, VIRTIO_DMA_PORT)
                     }
                 };
-                set.connect((link_id, PORT_DOWN_MASTER), (dev_id, pio));
-                set.connect((link_id, PORT_DOWN_SLAVE), (dev_id, dma));
-                let info = report.at(ep.bdf).expect("endpoint enumerated");
-                let bar0 = match &probe {
+                sys.connect((link_id, PORT_DOWN_MASTER), (dev_id, pio));
+                sys.connect((link_id, PORT_DOWN_SLAVE), (dev_id, dma));
+                let bar0 = match &sys.probe {
                     Some(p) => p.bar0,
-                    None => info.bars.iter().find(|b| !b.is_io).expect("memory BAR").base,
+                    None => {
+                        let info = sys.report.at(ep.bdf).expect("endpoint enumerated");
+                        info.bars.iter().find(|b| !b.is_io).expect("memory BAR").base
+                    }
                 };
                 let mem_port = if *i == 0 { PortId(0) } else { PortId((5 + *i) as u16) };
-                endpoint_handles.push(EndpointHandle {
+                sys.endpoints.push(EndpointHandle {
                     name: ep.name.clone(),
                     bdf: ep.bdf,
                     bar0,
                     irq: irqs[*i],
-                    is_disk: ep.is_disk,
-                    is_cxl: ep.is_cxl,
-                    is_virtio_blk: ep.is_virtio_blk,
-                    is_virtio_net: ep.is_virtio_net,
+                    kind: ep.kind,
                     hdm: ep.hdm,
                     virtio_ring: ep.virtio_ring,
                     cpu_mem_port: (membus_id, mem_port),
@@ -1613,243 +1622,10 @@ fn build_planned_multi(
         }
     }
 
-    let parts =
-        BuiltParts { registry: plan.registry, report, probe, endpoints: endpoint_handles, edges };
-    (set, parts)
-}
-
-/// A wired, enumerated, driver-initialized system partitioned across N
-/// shards, awaiting workloads — the sharded sibling of
-/// [`TopologySystem`]. Workloads always attach to shard 0 (they model
-/// CPU-side code talking to the memory bus and interrupt controller,
-/// which live there). [`ShardedTopologySystem::into_driver`] seals the
-/// system into a [`ShardedSimulator`].
-pub struct ShardedTopologySystem {
-    set: SimSet,
-    edges: Vec<EdgeSpec>,
-    trace_mask: u32,
-    /// The PCI host registry (for further functional config access —
-    /// only before the driver runs; config spaces are not synchronized
-    /// across shards mid-run).
-    pub registry: SharedRegistry,
-    /// What the enumeration software found.
-    pub report: EnumerationReport,
-    /// The driver probe result — present when the tree carries exactly
-    /// one endpoint.
-    pub probe: Option<ProbeInfo>,
-    /// One handle per endpoint, in depth-first order.
-    pub endpoints: Vec<EndpointHandle>,
-}
-
-impl ShardedTopologySystem {
-    /// Number of shards the tree was partitioned across.
-    pub fn shard_count(&self) -> usize {
-        self.set.sims.len()
+    for sim in sys.shards_mut() {
+        sim.set_trace_mask(topo.trace_mask);
     }
-
-    /// Number of cut links (half the directed edge count).
-    pub fn cut_count(&self) -> usize {
-        self.edges.len() / 2
-    }
-
-    /// The endpoint with component name `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no endpoint carries that name.
-    pub fn endpoint(&self, name: &str) -> &EndpointHandle {
-        self.endpoints
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("no endpoint named {name}"))
-    }
-
-    /// Adds a CPU-side workload component to shard 0 (remote slots
-    /// elsewhere) and wires it — the sharded mirror of the
-    /// [`TopologySystem`] attach helpers.
-    fn attach_cpu_side(
-        &mut self,
-        comp: Box<dyn Component>,
-        wires: &[(PortId, (ComponentId, PortId))],
-    ) -> ComponentId {
-        let id = self.set.add(0, comp);
-        for (port, peer) in wires {
-            self.set.connect((id, *port), *peer);
-        }
-        id
-    }
-
-    /// Attaches a `dd` workload (named `dd{index}`) to endpoint `index`,
-    /// which must be a disk. See [`TopologySystem::attach_dd`].
-    pub fn attach_dd(&mut self, index: usize, mut config: DdConfig) -> DdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_disk, "endpoint {index} ({}) is not a disk", ep.name);
-        config.disk_bar = ep.bar0;
-        config.dma_target = platform::DRAM_BASE + index as u64 * 0x1000_0000;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let (dd, report) = DdApp::new(format!("dd{index}"), config);
-        self.attach_cpu_side(Box::new(dd), &[(DD_MEM_PORT, mem), (DD_IRQ_PORT, irq)]);
-        report
-    }
-
-    /// Attaches a NIC transmit workload (named `nictx{index}`) to
-    /// endpoint `index`, which must be a NIC.
-    pub fn attach_nic_tx(&mut self, index: usize, mut config: NicTxConfig) -> NicTxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let (app, report) = NicTxApp::new(format!("nictx{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(NIC_TX_MEM_PORT, mem), (NIC_TX_IRQ_PORT, irq)]);
-        report
-    }
-
-    /// Attaches a NIC receive workload (named `nicrx{index}`) to endpoint
-    /// `index`, which must be a NIC with `rx_stream` configured.
-    pub fn attach_nic_rx(&mut self, index: usize, mut config: NicRxConfig) -> NicRxReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let (mem, irq) = (ep.cpu_mem_port, ep.cpu_irq_port);
-        let (app, report) = NicRxApp::new(format!("nicrx{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(NIC_RX_MEM_PORT, mem), (NIC_RX_IRQ_PORT, irq)]);
-        report
-    }
-
-    /// Attaches the MMIO latency probe (named `mmio_probe{index}`)
-    /// against endpoint `index`'s BAR0.
-    pub fn attach_mmio_probe(
-        &mut self,
-        index: usize,
-        mut config: MmioProbeConfig,
-    ) -> MmioReportHandle {
-        let ep = &self.endpoints[index];
-        config.target = ep.bar0 + 0x0008;
-        let mem = ep.cpu_mem_port;
-        let (probe, report) = MmioProbe::new(format!("mmio_probe{index}"), config);
-        self.attach_cpu_side(Box::new(probe), &[(MMIO_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches a poll-mode driver workload (named `pmd{index}`) to
-    /// endpoint `index`, which must be a NIC. Only the memory port is
-    /// wired — the poll-mode datapath never takes an interrupt.
-    pub fn attach_pmd(&mut self, index: usize, mut config: PmdConfig) -> PmdReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(!ep.is_disk, "endpoint {index} ({}) is not a NIC", ep.name);
-        config.nic_bar = ep.bar0;
-        let mem = ep.cpu_mem_port;
-        let (app, report) = PmdApp::new(format!("pmd{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(PMD_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches a CXL.mem host load/store stream (named `cxlhost{index}`)
-    /// against endpoint `index`'s HDM window, which must be an expander.
-    pub fn attach_cxl_host(
-        &mut self,
-        index: usize,
-        mut config: CxlHostConfig,
-    ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(ep.is_cxl, "endpoint {index} ({}) is not a CXL expander", ep.name);
-        config.window = ep.hdm;
-        config.use_cxl = true;
-        let mem = ep.cpu_mem_port;
-        let (app, report) = CxlHostApp::new(format!("cxlhost{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(CXL_HOST_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches the same engine (named `dramhost{index}`) against a local
-    /// DRAM slice with plain Memory Read/Write TLPs — the local arm of the
-    /// local-vs-CXL comparison. See [`TopologySystem::attach_dram_host`].
-    pub fn attach_dram_host(
-        &mut self,
-        index: usize,
-        mut config: CxlHostConfig,
-    ) -> CxlHostReportHandle {
-        let ep = &self.endpoints[index];
-        config.window =
-            AddrRange::with_size(platform::DRAM_BASE + 0x2000_0000, platform::CXL_HDM_STRIDE);
-        config.use_cxl = false;
-        let mem = ep.cpu_mem_port;
-        let (app, report) = CxlHostApp::new(format!("dramhost{index}"), config);
-        self.attach_cpu_side(Box::new(app), &[(CXL_HOST_MEM_PORT, mem)]);
-        report
-    }
-
-    /// Attaches a virtio guest driver (named `vdrv{index}`) to endpoint
-    /// `index`, which must be a virtio function. See
-    /// [`TopologySystem::attach_virtio`].
-    pub fn attach_virtio(
-        &mut self,
-        index: usize,
-        mut config: VirtioAppConfig,
-    ) -> VirtioReportHandle {
-        let ep = &self.endpoints[index];
-        assert!(
-            ep.is_virtio_blk || ep.is_virtio_net,
-            "endpoint {index} ({}) is not a virtio function",
-            ep.name
-        );
-        config.class = if ep.is_virtio_blk { VirtioClass::Blk } else { VirtioClass::Net };
-        config.bar0 = ep.bar0;
-        config.ring_base = ep.virtio_ring.start();
-        if config.use_msix {
-            assert!(ep.cpu_irq_ports.len() > 1, "MSI-X vectors not enabled for {}", ep.name);
-        }
-        let use_msix = config.use_msix;
-        let mut wires = vec![(VIRTIO_APP_MEM_PORT, ep.cpu_mem_port)];
-        if use_msix {
-            for (v, port) in ep.cpu_irq_ports.iter().enumerate() {
-                wires.push((virtio_app_irq_port(v as u16), *port));
-            }
-        } else {
-            wires.push((VIRTIO_APP_IRQ_PORT, ep.cpu_irq_port));
-        }
-        let (app, report) = VirtioApp::new(format!("vdrv{index}"), config);
-        self.attach_cpu_side(Box::new(app), &wires);
-        report
-    }
-
-    /// Seals the system into the conservative parallel driver. Call after
-    /// every workload is attached.
-    pub fn into_driver(self) -> ShardedSimulator {
-        let SimSet { mut sims, placements } = self.set;
-        for sim in &mut sims {
-            sim.set_trace_mask(self.trace_mask);
-        }
-        ShardedSimulator::new(
-            sims,
-            ShardPlan { placements, edges: self.edges, route_end: link_event_dest_end },
-        )
-    }
-}
-
-/// Builds the full system for a [`Topology`] partitioned across `shards`
-/// simulations. `shards == 1` degenerates to the serial build driven
-/// through the sharded API (useful as the bit-identity reference). The
-/// partition is chosen by [`partition_plan`]: deterministic, cut only at
-/// link boundaries, host cluster in shard 0.
-///
-/// # Panics
-///
-/// Same contract as [`build_topology`], plus `shards >= 1`.
-pub fn build_topology_sharded(topo: Topology, shards: usize) -> ShardedTopologySystem {
-    let plan = topo.plan();
-    let (report, probe, irqs) = enumerate_and_probe(&topo, &plan);
-    let assignment = partition_plan(&plan, shards);
-    let (set, parts) = build_planned_multi(&topo, plan, report, probe, irqs, &assignment, shards);
-    ShardedTopologySystem {
-        set,
-        edges: parts.edges,
-        trace_mask: topo.trace_mask,
-        registry: parts.registry,
-        report: parts.report,
-        probe: parts.probe,
-        endpoints: parts.endpoints,
-    }
+    sys
 }
 
 #[cfg(test)]
@@ -1920,7 +1696,7 @@ mod tests {
         let dd_configs: Vec<usize> = (0..serial.endpoints.len()).collect();
         let mut serial_dds = Vec::new();
         for &i in &dd_configs {
-            if serial.endpoints[i].is_disk {
+            if serial.endpoints[i].kind == EndpointKind::Disk {
                 serial_dds.push(
                     serial.attach_dd(i, DdConfig { block_bytes: 16 * 1024, ..DdConfig::default() }),
                 );
@@ -1932,7 +1708,7 @@ mod tests {
         assert_eq!(sharded.shard_count(), shards);
         let mut sharded_dds = Vec::new();
         for &i in &dd_configs {
-            if sharded.endpoints[i].is_disk {
+            if sharded.endpoints[i].kind == EndpointKind::Disk {
                 sharded_dds.push(
                     sharded
                         .attach_dd(i, DdConfig { block_bytes: 16 * 1024, ..DdConfig::default() }),
@@ -2001,7 +1777,7 @@ mod tests {
         let built = build_topology(Topology::cxl_direct(Default::default()));
         assert_eq!(built.report.endpoints().count(), 1);
         let ep = &built.endpoints[0];
-        assert!(ep.is_cxl && !ep.is_disk);
+        assert_eq!(ep.kind, EndpointKind::Cxl);
         assert_eq!(ep.hdm, platform::cxl_hdm_window(0));
         assert!(built.probe.is_some(), "the CXL device table must match the expander");
     }
@@ -2107,7 +1883,7 @@ mod tests {
         use crate::workload::virtio::VirtioAppConfig;
         let mut built = build_topology(Topology::virtio_blk_direct(VirtioConfig::default()));
         let ep = &built.endpoints[0];
-        assert!(ep.is_virtio_blk && !ep.is_virtio_net && !ep.is_disk);
+        assert_eq!(ep.kind, EndpointKind::VirtioBlk);
         assert_eq!(ep.virtio_ring, platform::virtio_ring_window(0));
         assert!(built.probe.is_some(), "the virtio-blk device table must match");
         let drv = built.attach_virtio(
@@ -2155,9 +1931,9 @@ mod tests {
         let mut built =
             build_topology(Topology::virtio_mixed(VirtioConfig::default(), net));
         assert_eq!(built.endpoints.len(), 3);
-        assert!(built.endpoint("vblk0").is_virtio_blk);
-        assert!(built.endpoint("vnet0").is_virtio_net);
-        assert!(built.endpoint("disk").is_disk);
+        assert_eq!(built.endpoint("vblk0").kind, EndpointKind::VirtioBlk);
+        assert_eq!(built.endpoint("vnet0").kind, EndpointKind::VirtioNet);
+        assert_eq!(built.endpoint("disk").kind, EndpointKind::Disk);
         let blk = built.attach_virtio(
             0,
             VirtioAppConfig { requests: 4, ..VirtioAppConfig::default() },
@@ -2169,6 +1945,33 @@ mod tests {
         let dd = built.attach_dd(2, DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() });
         assert_eq!(built.sim.run(TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
         assert!(blk.borrow().done && tx.borrow().done && dd.borrow().done);
+    }
+
+    /// NIC workloads refuse every endpoint that is not a NIC, so a
+    /// virtio function or a CXL expander never sees NIC register writes.
+    #[test]
+    fn nic_workloads_refuse_non_nic_endpoints() {
+        use crate::workload::nic_rx::NicRxConfig;
+        use crate::workload::pmd::PmdConfig;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let trees = [
+            ("virtio-blk", Topology::virtio_blk_direct(VirtioConfig::default())),
+            ("cxl", Topology::cxl_direct(Default::default())),
+        ];
+        for (tree, topo) in &trees {
+            for attach in ["attach_nic_tx", "attach_nic_rx", "attach_pmd"] {
+                let mut sys = build_topology(topo.clone());
+                let panic = catch_unwind(AssertUnwindSafe(|| match attach {
+                    "attach_nic_tx" => drop(sys.attach_nic_tx(0, NicTxConfig::default())),
+                    "attach_nic_rx" => drop(sys.attach_nic_rx(0, NicRxConfig::default())),
+                    _ => drop(sys.attach_pmd(0, PmdConfig::default())),
+                }))
+                .expect_err(&format!("{attach} accepted the {tree} endpoint"));
+                let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains("is not a NIC"), "{attach} on {tree}: {msg}");
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,11 @@ use pcisim::kernel::sim::RunOutcome;
 use pcisim::kernel::stats::StatsSnapshot;
 use pcisim::kernel::tick::{ns, TICKS_PER_SEC};
 use pcisim::pcie::params::Generation;
-use pcisim::system::builder::{build_system, build_system_warm, SystemConfig};
+use pcisim::system::builder::{build_system, SystemConfig};
 use pcisim::system::experiments::{
-    error_rate_sweep, error_rate_sweep_warm, prepare_dd_warm_start, run_dd_experiment,
-    run_dd_sweep_warm, run_fault_experiment, DdExperiment, DdOutcome, FaultExperiment,
-    FaultOutcome,
+    error_rate_sweep, run_dd_experiment, run_fault_experiment, DdExperiment, DdOutcome,
+    FaultExperiment, FaultOutcome,
 };
-use pcisim::system::snapshot::SystemHandle;
 use pcisim::system::sweep::run_sweep;
 use pcisim::system::workload::dd::DdConfig;
 
@@ -400,66 +398,6 @@ fn msix_sweep_serial_equals_parallel() {
     let parallel = run_sweep(&configs, 4, run_msix_tx_experiment);
     let fp = |v: &[MsixTxOutcome]| v.iter().map(fingerprint).collect::<Vec<_>>();
     assert_eq!(fp(&serial), fp(&parallel));
-}
-
-// --- Warm-start equivalence ------------------------------------------------
-//
-// A warm sweep forks every point from one checkpoint taken before any TLP
-// touches the fabric, so each fork must be indistinguishable from a cold
-// build — across worker threads, block sizes and the fault campaign.
-
-/// A warm `dd` sweep (one shared warm start per distinct block size,
-/// fanned across threads) is bit-identical to the serial cold sweep.
-#[test]
-fn warm_dd_sweep_matches_cold_serial() {
-    let configs: Vec<DdExperiment> = [(64 * KB, 50u64), (256 * KB, 50), (64 * KB, 130)]
-        .into_iter()
-        .map(|(block_bytes, lat)| DdExperiment {
-            block_bytes,
-            switch_latency: ns(lat),
-            ..DdExperiment::default()
-        })
-        .collect();
-    let cold = run_sweep(&configs, 1, run_dd_experiment);
-    let warm = run_dd_sweep_warm(&configs, 4);
-    let fingerprints = |v: &[DdOutcome]| v.iter().map(outcome_fingerprint).collect::<Vec<_>>();
-    assert_eq!(fingerprints(&cold), fingerprints(&warm));
-}
-
-/// The warm fault campaign reproduces the cold serial campaign exactly —
-/// error injection, replays and AER state all survive the fork.
-#[test]
-fn warm_fault_sweep_matches_cold_serial() {
-    let cold = error_rate_sweep(Generation::Gen2, None, 64 * KB, 1);
-    let warm = error_rate_sweep_warm(Generation::Gen2, None, 64 * KB, 4);
-    let fingerprints = |v: &[FaultOutcome]| v.iter().map(fault_fingerprint).collect::<Vec<_>>();
-    assert_eq!(fingerprints(&cold), fingerprints(&warm));
-}
-
-/// The PacketId allocator survives the warm fork: a restored run resumes
-/// from the checkpointed allocator value (no IDs are reused or skipped)
-/// and finishes with exactly the cold run's final allocator state.
-#[test]
-fn warm_start_preserves_packet_id_continuity() {
-    let config = DdConfig { block_bytes: 64 * KB, ..DdConfig::default() };
-
-    let mut cold = build_system(SystemConfig::validation());
-    let _ = cold.attach_dd(config.clone());
-    assert_eq!(cold.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-    let cold_final_id = cold.sim.packet_ids_allocated();
-    let cold_quiesce = cold.sim.now();
-
-    let warm = prepare_dd_warm_start(64 * KB);
-    let mut resumed = build_system_warm(SystemConfig::validation(), &warm.seed);
-    let _ = resumed.attach_dd(config);
-    resumed.restore(&warm.snapshot).expect("warm snapshot restores");
-    let id_at_fork = resumed.sim.packet_ids_allocated();
-    assert_eq!(resumed.sim.run(5 * TICKS_PER_SEC, u64::MAX), RunOutcome::QueueEmpty);
-
-    assert!(id_at_fork <= cold_final_id, "fork cannot start past the cold run's allocator");
-    assert_eq!(resumed.sim.packet_ids_allocated(), cold_final_id, "allocator continuity");
-    assert_eq!(resumed.sim.now(), cold_quiesce, "quiesce tick");
-    assert_eq!(stats_fnv(&resumed.sim.stats()), stats_fnv(&cold.sim.stats()), "stats");
 }
 
 // Golden anchor for the virtio device family: the mixed virtio tree

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pcisim::kernel::tick::ns;
-use pcisim::system::experiments::{run_pmd_experiment, run_pmd_sharded, PmdExperiment, PmdOutcome};
+use pcisim::system::experiments::{run_pmd_experiment, PmdExperiment, PmdOutcome};
 use pcisim::system::traffic::{record_trace, ArrivalProcess, SizeDist, TrafficConfig, TrafficSpec};
 use pcisim::system::workload::pmd::PmdReport;
 
@@ -98,10 +98,10 @@ proptest! {
     ) {
         let cfg = traffic_from(seed, frames, shape, 1200);
         let exp = experiment(TrafficSpec::Generate(cfg), burst);
-        let serial = run_pmd_sharded(&exp, 1);
+        let serial = run_pmd_experiment(&exp);
         prop_assert!(serial.completed, "serial run must settle: {:?}", serial);
         for shards in [2usize, 4] {
-            let sharded = run_pmd_sharded(&exp, shards);
+            let sharded = run_pmd_experiment(&PmdExperiment { shards, ..exp.clone() });
             assert_outcomes_identical(&serial, &sharded, &format!("{shards} shards"));
         }
     }

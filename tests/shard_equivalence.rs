@@ -26,7 +26,7 @@ use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::DeviceSpec;
 use pcisim::system::experiments::stats_fnv;
 use pcisim::system::topology::{
-    build_topology, build_topology_sharded, Attachment, Node, Topology,
+    build_topology, build_topology_sharded, Attachment, EndpointKind, Node, Topology,
 };
 use pcisim::system::workload::dd::DdConfig;
 use pcisim::system::workload::nic_tx::NicTxConfig;
@@ -49,7 +49,7 @@ fn serial_run(topo: Topology) -> RunResult {
     let mut dds = Vec::new();
     let mut nics = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         } else {
             nics.push(
@@ -75,7 +75,7 @@ fn sharded_run(topo: Topology, shards: usize) -> RunResult {
     let mut dds = Vec::new();
     let mut nics = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         } else {
             nics.push(
@@ -233,9 +233,9 @@ fn cxl_serial_run(topo: Topology) -> RunResult {
     let mut cxls = Vec::new();
     let mut dds = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_cxl {
+        if sys.endpoints[i].kind == EndpointKind::Cxl {
             cxls.push(sys.attach_cxl_host(i, cxl_host_config(cxls.len())));
-        } else if sys.endpoints[i].is_disk {
+        } else if sys.endpoints[i].kind == EndpointKind::Disk {
             dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         }
     }
@@ -257,9 +257,9 @@ fn cxl_sharded_run(topo: Topology, shards: usize) -> RunResult {
     let mut cxls = Vec::new();
     let mut dds = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_cxl {
+        if sys.endpoints[i].kind == EndpointKind::Cxl {
             cxls.push(sys.attach_cxl_host(i, cxl_host_config(cxls.len())));
-        } else if sys.endpoints[i].is_disk {
+        } else if sys.endpoints[i].kind == EndpointKind::Disk {
             dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         }
     }
@@ -383,7 +383,7 @@ fn mid_run_checkpoint_restores_under_a_different_shard_count() {
     let mut sys = build_topology_sharded(mixed_tree().with_tracing(), 3);
     let mut handles = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             handles
                 .push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         } else {
@@ -401,7 +401,7 @@ fn mid_run_checkpoint_restores_under_a_different_shard_count() {
         let mut dds = Vec::new();
         let mut nics = Vec::new();
         for i in 0..sys.endpoints.len() {
-            if sys.endpoints[i].is_disk {
+            if sys.endpoints[i].kind == EndpointKind::Disk {
                 dds.push(
                     sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }),
                 );
@@ -462,9 +462,9 @@ fn virtio_serial_run(topo: Topology) -> RunResult {
     let mut vios = Vec::new();
     let mut dds = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_virtio_blk || sys.endpoints[i].is_virtio_net {
+        if matches!(sys.endpoints[i].kind, EndpointKind::VirtioBlk | EndpointKind::VirtioNet) {
             vios.push(sys.attach_virtio(i, virtio_app_config(vios.len())));
-        } else if sys.endpoints[i].is_disk {
+        } else if sys.endpoints[i].kind == EndpointKind::Disk {
             dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         }
     }
@@ -486,9 +486,9 @@ fn virtio_sharded_run(topo: Topology, shards: usize) -> RunResult {
     let mut vios = Vec::new();
     let mut dds = Vec::new();
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_virtio_blk || sys.endpoints[i].is_virtio_net {
+        if matches!(sys.endpoints[i].kind, EndpointKind::VirtioBlk | EndpointKind::VirtioNet) {
             vios.push(sys.attach_virtio(i, virtio_app_config(vios.len())));
-        } else if sys.endpoints[i].is_disk {
+        } else if sys.endpoints[i].kind == EndpointKind::Disk {
             dds.push(sys.attach_dd(i, DdConfig { block_bytes: DD_BLOCK, ..DdConfig::default() }));
         }
     }

@@ -24,7 +24,9 @@ use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::{build_system, DeviceSpec, SystemConfig};
 use pcisim::system::snapshot::SystemHandle;
-use pcisim::system::topology::{build_topology, Attachment, Node, Topology, TopologySystem};
+use pcisim::system::topology::{
+    build_topology, Attachment, EndpointKind, Node, Topology, TopologySystem,
+};
 use pcisim::system::workload::dd::DdConfig;
 use pcisim::system::workload::nic_tx::NicTxConfig;
 
@@ -114,7 +116,7 @@ fn grow_topology(shape: &[u8]) -> Topology {
 fn build_with_workloads(shape: &[u8]) -> TopologySystem {
     let mut sys = build_topology(grow_topology(shape));
     for i in 0..sys.endpoints.len() {
-        if sys.endpoints[i].is_disk {
+        if sys.endpoints[i].kind == EndpointKind::Disk {
             let _ = sys.attach_dd(
                 i,
                 DdConfig {
@@ -246,8 +248,8 @@ proptest! {
     }
 }
 
-/// Builds the warmed-up validation `dd` system the corruption tests and
-/// the golden fixture use, paused at the warm-start tick.
+/// Builds the validation `dd` system the corruption tests and the golden
+/// fixture use, paused at `WARMUP_TICK`.
 fn warmed_validation(block_bytes: u64) -> pcisim::system::builder::BuiltSystem {
     let mut built = build_system(SystemConfig::validation());
     let _ = built.attach_dd(DdConfig { block_bytes, ..DdConfig::default() });
@@ -408,7 +410,7 @@ fn version_bump_fails_loudly() {
 }
 
 /// The committed golden checkpoint: the validation topology with a 64 KB
-/// `dd`, checkpointed at the warm-start tick. Recorded anchors below are
+/// `dd`, checkpointed at `WARMUP_TICK`. Recorded anchors below are
 /// the quiesce tick and stats fingerprint of the *cold* 64 KB run (the
 /// same `GOLDEN_STATS_FNV` the determinism suite asserts), so this test
 /// proves an old file restores on today's build and completes to the
@@ -436,6 +438,37 @@ fn golden_checkpoint_fixture_restores_and_matches_anchors() {
     assert!(report.borrow().done, "restored run must complete the block");
     assert_eq!(built.sim.now(), GOLDEN_QUIESCE_TICK, "quiesce tick anchor");
     assert_eq!(stats_fnv(&built.sim.stats()), GOLDEN_STATS_FNV, "stats fingerprint anchor");
+}
+
+/// The PacketId allocator survives checkpoint/restore: a run paused at
+/// `WARMUP_TICK` and restored into a freshly built (enumerated and
+/// probed) tree resumes from the checkpointed allocator value — no ids
+/// reused or skipped — and finishes with exactly the uninterrupted run's
+/// allocator, quiesce tick and stats.
+#[test]
+fn restore_preserves_packet_id_continuity() {
+    let config = DdConfig { block_bytes: 64 * 1024, ..DdConfig::default() };
+
+    let mut uninterrupted = build_system(SystemConfig::validation());
+    let _ = uninterrupted.attach_dd(config.clone());
+    assert_eq!(uninterrupted.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
+    let final_id = uninterrupted.sim.packet_ids_allocated();
+
+    let snap = warmed_validation(64 * 1024).checkpoint();
+    let mut resumed = build_system(SystemConfig::validation());
+    let _ = resumed.attach_dd(config);
+    resumed.restore(&snap).expect("checkpoint restores into a fresh build");
+    let id_at_restore = resumed.sim.packet_ids_allocated();
+    assert_eq!(resumed.sim.run(MAX_TIME, MAX_EVENTS), RunOutcome::QueueEmpty);
+
+    assert!(id_at_restore <= final_id, "restore cannot start past the final allocator");
+    assert_eq!(resumed.sim.packet_ids_allocated(), final_id, "allocator continuity");
+    assert_eq!(resumed.sim.now(), uninterrupted.sim.now(), "quiesce tick");
+    assert_eq!(
+        stats_fnv(&resumed.sim.stats()),
+        stats_fnv(&uninterrupted.sim.stats()),
+        "stats fingerprint"
+    );
 }
 
 /// Checkpoint a virtio-blk run in mid-request — descriptor chains in

@@ -43,7 +43,7 @@ use pcisim::pcie::params::{Generation, LinkConfig, LinkWidth};
 use pcisim::pcie::router::RouterConfig;
 use pcisim::system::builder::DeviceSpec;
 use pcisim::system::platform;
-use pcisim::system::topology::{build_topology, Attachment, Node, Topology};
+use pcisim::system::topology::{build_topology, Attachment, EndpointKind, Node, Topology};
 use pcisim::system::workload::virtio::VirtioAppConfig;
 
 /// The platform reserves sixteen ring windows.
@@ -102,6 +102,10 @@ fn grow_port(
     }
 }
 
+fn is_virtio(kind: EndpointKind) -> bool {
+    matches!(kind, EndpointKind::VirtioBlk | EndpointKind::VirtioNet)
+}
+
 /// A bounded random topology guaranteed to hold at least one virtio
 /// function: up to three root ports, switches nested at most two levels.
 fn grow_virtio_topology(shape: &[u8]) -> Topology {
@@ -137,12 +141,12 @@ proptest! {
         let rings: Vec<AddrRange> = plan
             .endpoints
             .iter()
-            .filter(|e| e.is_virtio_blk || e.is_virtio_net)
+            .filter(|e| is_virtio(e.kind))
             .map(|e| e.virtio_ring)
             .collect();
         prop_assert!(!rings.is_empty(), "generator must place at least one virtio function");
         let dram = platform::dram_range();
-        for ep in plan.endpoints.iter().filter(|e| e.is_virtio_blk || e.is_virtio_net) {
+        for ep in plan.endpoints.iter().filter(|e| is_virtio(e.kind)) {
             let cs = ep.config_space.borrow();
             prop_assert_eq!(
                 cs.read(pci_regs::VENDOR_ID, 2) as u16,
@@ -150,7 +154,11 @@ proptest! {
                 "virtio function must carry the virtio vendor ID"
             );
             let want_dev =
-                if ep.is_virtio_blk { VIRTIO_BLK_DEVICE_ID } else { VIRTIO_NET_DEVICE_ID };
+                if ep.kind == EndpointKind::VirtioBlk {
+                    VIRTIO_BLK_DEVICE_ID
+                } else {
+                    VIRTIO_NET_DEVICE_ID
+                };
             prop_assert_eq!(cs.read(pci_regs::DEVICE_ID, 2) as u16, want_dev);
             let regions =
                 discover_regions(&cs).expect("the capability walk must find all structures");
@@ -186,7 +194,7 @@ proptest! {
                 }
             }
         }
-        for ep in plan.endpoints.iter().filter(|e| e.is_cxl) {
+        for ep in plan.endpoints.iter().filter(|e| e.kind == EndpointKind::Cxl) {
             for ring in &rings {
                 prop_assert!(
                     !ring.overlaps(&ep.hdm),
@@ -218,7 +226,7 @@ proptest! {
         let mut attached = Vec::new();
         for i in 0..sys.endpoints.len() {
             let ep = &sys.endpoints[i];
-            if !(ep.is_virtio_blk || ep.is_virtio_net) {
+            if !is_virtio(ep.kind) {
                 continue;
             }
             let name = ep.name.clone();
@@ -228,8 +236,12 @@ proptest! {
                 VirtioAppConfig {
                     requests,
                     queue_depth: 1 + u32::from(flavor.wrapping_add(i as u8)) % 3,
-                    request_bytes: if sys.endpoints[i].is_virtio_net { 1514 } else { 4096 },
-                    write: flavor & 1 == 1 && sys.endpoints[i].is_virtio_blk,
+                    request_bytes: if sys.endpoints[i].kind == EndpointKind::VirtioNet {
+                        1514
+                    } else {
+                        4096
+                    },
+                    write: flavor & 1 == 1 && sys.endpoints[i].kind == EndpointKind::VirtioBlk,
                     ..VirtioAppConfig::default()
                 },
             );
