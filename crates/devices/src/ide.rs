@@ -360,6 +360,7 @@ impl Component for IdeDisk {
                 pkt.into_read_response(full)
             }
             Command::WriteReq => {
+                let mut pkt = pkt;
                 let v = pkt
                     .payload()
                     .map(|p| {
@@ -369,6 +370,9 @@ impl Component for IdeDisk {
                         u32::from_le_bytes(b)
                     })
                     .unwrap_or(0);
+                if let Some(buf) = pkt.take_payload() {
+                    ctx.recycle_payload(buf);
+                }
                 self.reg_write(ctx, offset, v);
                 pkt.into_response()
             }

@@ -12,8 +12,13 @@
 //! - time is divided into fixed windows of `2^BUCKET_BITS` ticks;
 //! - a ring of [`NUM_BUCKETS`] buckets covers the windows immediately
 //!   after the currently open one (`cur_window`);
-//! - entries for the open window live in a small binary heap (`cur`) so
-//!   same-window entries pop in exact `(tick, order)` order;
+//! - entries for the open window live in a sorted run: opening a window
+//!   copies its bucket's keys out and sorts them once, and pops consume
+//!   the run from a head index. A push into the open window is inserted
+//!   in place when at most [`MAX_SHIFT`] keys must move, and otherwise
+//!   goes to a small fallback heap (`spill`); a pop takes the smaller of
+//!   the two heads, so same-window entries pop in exact `(tick, order)`
+//!   order;
 //! - entries beyond the ring horizon go to an overflow heap and migrate
 //!   into the ring as the calendar advances.
 //!
@@ -53,6 +58,12 @@ pub const BUCKET_BITS: u32 = 16;
 pub const NUM_BUCKETS: u64 = 1024;
 
 const MASK: u64 = NUM_BUCKETS - 1;
+
+/// Most keys an in-window push may shift to keep the open window's run
+/// sorted. A push that would move more (a burst of same-window pushes in
+/// descending order) goes to the fallback heap instead, so no push costs
+/// more than a short `memmove` or one heap sift.
+pub const MAX_SHIFT: usize = 32;
 
 /// Ordering key plus the slab slot holding the item. `order` is unique,
 /// so `slot` never participates in comparisons.
@@ -125,8 +136,13 @@ impl Ord for Key {
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     buckets: Vec<Vec<Key>>,
-    /// Entries belonging to the currently open window, ordered.
-    cur: BinaryHeap<Reverse<Key>>,
+    /// Entries belonging to the currently open window, sorted ascending;
+    /// `run[head..]` are pending, `run[..head]` already popped.
+    run: Vec<Key>,
+    head: usize,
+    /// Open-window entries whose sorted insertion into `run` would have
+    /// shifted more than [`MAX_SHIFT`] keys.
+    spill: BinaryHeap<Reverse<Key>>,
     /// Entries at or beyond `cur_window + NUM_BUCKETS` windows.
     overflow: BinaryHeap<Reverse<Key>>,
     /// Item storage addressed by `Key::slot`, stamped with the order of
@@ -135,8 +151,8 @@ pub struct CalendarQueue<T> {
     /// Vacant slab slots available for reuse.
     free: Vec<u32>,
     cur_window: u64,
-    /// Total keys held in the ring buckets (not `cur` / `overflow`),
-    /// tombstones included.
+    /// Total keys held in the ring buckets (not the open window or
+    /// `overflow`), tombstones included.
     ring_len: usize,
     /// Live (non-cancelled) entries.
     len: usize,
@@ -158,7 +174,9 @@ impl<T> CalendarQueue<T> {
     pub fn new() -> Self {
         Self {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            cur: BinaryHeap::new(),
+            run: Vec::new(),
+            head: 0,
+            spill: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -202,7 +220,7 @@ impl<T> CalendarQueue<T> {
         let key = Key { tick, order, slot };
         let w = tick >> BUCKET_BITS;
         if w <= self.cur_window {
-            self.cur.push(Reverse(key));
+            self.push_open(key);
         } else if w - self.cur_window < NUM_BUCKETS {
             self.ring_len += 1;
             self.buckets[(w & MASK) as usize].push(key);
@@ -242,10 +260,65 @@ impl<T> CalendarQueue<T> {
         Some(item)
     }
 
-    /// Advances the calendar until the open-window heap holds the globally
+    /// Inserts `key` into the open window: in place in the sorted run when
+    /// at most [`MAX_SHIFT`] keys move (shifting the tail right, or the
+    /// pending front left into the popped prefix), else into `spill`.
+    #[inline]
+    fn push_open(&mut self, key: Key) {
+        let pending = &self.run[self.head..];
+        if pending.last().is_none_or(|last| *last < key) {
+            // The common case: later than everything pending.
+            self.run.push(key);
+            return;
+        }
+        let at = self.head + pending.partition_point(|k| *k < key);
+        if self.run.len() - at <= MAX_SHIFT {
+            self.run.insert(at, key);
+        } else if self.head > 0 && at - self.head <= MAX_SHIFT {
+            self.run.copy_within(self.head..at, self.head - 1);
+            self.head -= 1;
+            self.run[at - 1] = key;
+        } else {
+            self.spill.push(Reverse(key));
+        }
+    }
+
+    /// The smallest open-window key, if the window holds any.
+    #[inline]
+    fn peek_open(&self) -> Option<Key> {
+        let run = self.run.get(self.head).copied();
+        match (run, self.spill.peek()) {
+            (Some(r), Some(&Reverse(s))) => Some(r.min(s)),
+            (r, s) => r.or(s.map(|&Reverse(s)| s)),
+        }
+    }
+
+    /// Removes the smallest open-window key, which [`Self::peek_open`]
+    /// just returned as `key`.
+    #[inline]
+    fn pop_open(&mut self, key: Key) {
+        if self.run.get(self.head) == Some(&key) {
+            self.head += 1;
+            if self.head == self.run.len() {
+                // Consumed: rewind so the run's capacity is reused.
+                self.run.clear();
+                self.head = 0;
+            }
+        } else {
+            self.spill.pop();
+        }
+    }
+
+    /// Whether the open window holds no keys (tombstones included).
+    #[inline]
+    fn open_is_empty(&self) -> bool {
+        self.head == self.run.len() && self.spill.is_empty()
+    }
+
+    /// Advances the calendar until the open window holds the globally
     /// earliest entry (no-op when it already does, or the queue is empty).
     fn settle(&mut self) {
-        while self.cur.is_empty() && self.len > 0 {
+        while self.open_is_empty() && self.len > 0 {
             // Find the earliest occupied window. By invariant 2 the ring
             // (when non-empty) always beats the overflow heap, and by
             // invariant 1 the first non-empty bucket after the cursor
@@ -256,12 +329,13 @@ impl<T> CalendarQueue<T> {
                     .find(|w| !self.buckets[(w & MASK) as usize].is_empty())
                     .expect("ring_len > 0 implies an occupied bucket within the horizon")
             } else {
-                let Reverse(head) = self.overflow.peek().expect("len > 0 with empty ring and cur");
+                let Reverse(head) = self.overflow.peek().expect("len > 0 with empty ring and run");
                 head.tick >> BUCKET_BITS
             };
             self.cur_window = target;
             // Re-establish invariant 2: migrate overflow entries that now
-            // fall inside the ring horizon.
+            // fall inside the ring horizon. They pop in ascending order, so
+            // the ones for the open window append to the (empty) run.
             while let Some(Reverse(head)) = self.overflow.peek() {
                 let w = head.tick >> BUCKET_BITS;
                 if w >= self.cur_window + NUM_BUCKETS {
@@ -269,54 +343,61 @@ impl<T> CalendarQueue<T> {
                 }
                 let Reverse(key) = self.overflow.pop().expect("peeked");
                 if w <= self.cur_window {
-                    self.cur.push(Reverse(key));
+                    self.run.push(key);
                 } else {
                     self.ring_len += 1;
                     self.buckets[(w & MASK) as usize].push(key);
                 }
             }
-            // Open the bucket for the new cursor window.
+            // Open the bucket for the new cursor window: copy its keys out
+            // (the bucket keeps its own allocation) and sort them once.
             let bucket = &mut self.buckets[(self.cur_window & MASK) as usize];
             self.ring_len -= bucket.len();
-            for key in bucket.drain(..) {
-                debug_assert_eq!(key.tick >> BUCKET_BITS, self.cur_window);
-                self.cur.push(Reverse(key));
-            }
+            debug_assert!(bucket.iter().all(|k| k.tick >> BUCKET_BITS == self.cur_window));
+            self.run.extend_from_slice(bucket);
+            bucket.clear();
+            self.run.sort_unstable();
         }
     }
 
     /// Like [`CalendarQueue::settle`], but additionally discards cancelled
-    /// tombstone keys at the head of the open-window heap (reclaiming their
-    /// slab slots), so afterwards the head of `cur` — when present — is a
-    /// live entry.
-    fn settle_live(&mut self) {
+    /// tombstone keys at the head of the open window (reclaiming their
+    /// slab slots), so the returned head — when present — is a live entry.
+    #[inline]
+    fn settle_live(&mut self) -> Option<Key> {
         loop {
             self.settle();
-            let Some(&Reverse(head)) = self.cur.peek() else { return };
+            let head = self.peek_open()?;
             if self.slab[head.slot as usize].1.is_some() {
-                return;
+                return Some(head);
             }
-            self.cur.pop();
+            self.pop_open(head);
             self.free.push(head.slot);
         }
+    }
+
+    /// Pops the live head `key` returned by [`Self::settle_live`].
+    #[inline]
+    fn take(&mut self, key: Key) -> (Tick, u64, T) {
+        self.pop_open(key);
+        self.len -= 1;
+        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
+        self.free.push(key.slot);
+        (key.tick, key.order, item)
     }
 
     /// The tick of the earliest queued (live) entry, if any.
     #[inline]
     pub fn next_tick(&mut self) -> Option<Tick> {
-        self.settle_live();
-        self.cur.peek().map(|&Reverse(key)| key.tick)
+        self.settle_live().map(|key| key.tick)
     }
 
     /// Removes and returns the entry with the smallest `(tick, order)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(Tick, T)> {
-        self.settle_live();
-        let Reverse(key) = self.cur.pop()?;
-        self.len -= 1;
-        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(key.slot);
-        Some((key.tick, item))
+        let key = self.settle_live()?;
+        let (tick, _, item) = self.take(key);
+        Some((tick, item))
     }
 
     /// Like [`CalendarQueue::pop`], but also yields the popped entry's
@@ -324,12 +405,8 @@ impl<T> CalendarQueue<T> {
     /// streams from different shards can be merged deterministically.
     #[inline]
     pub fn pop_stamped(&mut self) -> Option<(Tick, u64, T)> {
-        self.settle_live();
-        let Reverse(key) = self.cur.pop()?;
-        self.len -= 1;
-        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(key.slot);
-        Some((key.tick, key.order, item))
+        let key = self.settle_live()?;
+        Some(self.take(key))
     }
 
     /// Fused peek-and-pop for the dispatch loop: settles once, then pops
@@ -337,16 +414,11 @@ impl<T> CalendarQueue<T> {
     /// head beyond the limit without disturbing it; `Ok(None)` means empty.
     #[inline]
     pub fn pop_if_at_most(&mut self, limit: Tick) -> Result<Option<(Tick, u64, T)>, Tick> {
-        self.settle_live();
-        let Some(&Reverse(head)) = self.cur.peek() else { return Ok(None) };
-        if head.tick > limit {
-            return Err(head.tick);
+        let Some(key) = self.settle_live() else { return Ok(None) };
+        if key.tick > limit {
+            return Err(key.tick);
         }
-        let Reverse(key) = self.cur.pop().expect("peeked");
-        self.len -= 1;
-        let item = self.slab[key.slot as usize].1.take().expect("live head after settle_live");
-        self.free.push(key.slot);
-        Ok(Some((key.tick, key.order, item)))
+        Ok(Some(self.take(key)))
     }
 
     /// Creates an empty queue with the calendar cursor positioned for
@@ -375,7 +447,10 @@ impl<T> CalendarQueue<T> {
                 f(key.tick, key.order, item);
             }
         };
-        for Reverse(k) in self.cur.iter() {
+        for k in &self.run[self.head..] {
+            visit(k);
+        }
+        for Reverse(k) in self.spill.iter() {
             visit(k);
         }
         for Reverse(k) in self.overflow.iter() {

@@ -131,6 +131,13 @@ pub trait Component {
     /// may now be repeated.
     fn retry_granted(&mut self, _ctx: &mut Ctx<'_>, _port: PortId) {}
 
+    /// Queues or drops every outstanding reservation this component holds
+    /// (see [`Ctx::fire_reserved`]), so all of its future lives in the
+    /// event queue. The kernel calls this on every component before a
+    /// checkpoint, which therefore never has to record a reservation.
+    /// Components that never reserve keep the default.
+    fn settle(&mut self, _ctx: &mut Ctx<'_>) {}
+
     /// Reports statistics into `out`. Called after the simulation stops.
     fn report_stats(&self, _out: &mut StatsBuilder) {}
 

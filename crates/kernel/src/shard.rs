@@ -469,10 +469,22 @@ impl ShardedSimulator {
         };
         // A final merge catches records from init or a stop/limit exit.
         self.drain_shard_traces();
+        // A drained run has also reached every shard's reserved horizon.
+        let drained = outcome == RunOutcome::QueueEmpty;
+        let last = |i: usize| {
+            let sim = self.shard(i);
+            let horizon = if drained { sim.shared.reserved_horizon.get() } else { 0 };
+            sim.last_event_tick().max(horizon)
+        };
         self.now = match outcome {
             RunOutcome::TimeLimit => until,
-            _ => (0..self.shards.len()).map(|i| self.shard(i).last_event_tick()).max().unwrap_or(0),
+            _ => (0..self.shards.len()).map(last).max().unwrap_or(0),
         };
+        if matches!(outcome, RunOutcome::TimeLimit | RunOutcome::QueueEmpty) {
+            for i in 0..self.shards.len() {
+                self.shard(i).mark_dispatched_through(self.now);
+            }
+        }
         outcome
     }
 
@@ -541,7 +553,12 @@ impl ShardedSimulator {
                 total_events += sim.events_processed();
             }
             let Some(t_min) = next_ticks.iter().flatten().copied().min() else {
-                break RunOutcome::QueueEmpty;
+                // A reservation beyond `until` stands for a pending event.
+                let horizon = (0..self.shards.len())
+                    .map(|i| self.shard(i).shared.reserved_horizon.get())
+                    .max()
+                    .unwrap_or(0);
+                break if horizon > until { RunOutcome::TimeLimit } else { RunOutcome::QueueEmpty };
             };
             if t_min > until {
                 break RunOutcome::TimeLimit;
@@ -679,7 +696,9 @@ impl ShardedSimulator {
     /// sections from their owning shards.
     pub fn checkpoint(&mut self) -> Vec<u8> {
         for i in 0..self.shards.len() {
-            self.shard_mut(i).ensure_init();
+            let sim = self.shard_mut(i);
+            sim.ensure_init();
+            sim.settle_components();
         }
         let n = self.plan.placements.len();
         let mut body = StateWriter::new();
@@ -852,6 +871,7 @@ impl ShardedSimulator {
             *sim.shared.queue.borrow_mut() = queue;
             sim.shared.now.set(now);
             sim.shared.last_event_tick.set(now);
+            sim.mark_restored(now);
             // The global totals live on shard 0; sums stay correct.
             sim.shared.events_processed.set(if i == 0 { events_processed } else { 0 });
             sim.shared.stop_requested.set(false);
@@ -1073,6 +1093,55 @@ mod tests {
         assert_eq!(sharded.now(), serial.now());
         assert_eq!(only(&fired_s, "a"), *fired_a.borrow());
         assert_eq!(only(&fired_s, "b"), *fired_b.borrow());
+    }
+
+    /// Reserves an event `reserve_at` ticks out that it never fires, beside
+    /// one real timer `real_at` ticks out.
+    struct Reserver {
+        reserve_at: Tick,
+        real_at: Tick,
+    }
+    impl Component for Reserver {
+        fn name(&self) -> &str {
+            "reserver"
+        }
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.reserve_stream(self.reserve_at, 0);
+            ctx.schedule(self.real_at, Event::Timer { kind: 0, data: 0 });
+        }
+        fn handle(&mut self, _: &mut Ctx<'_>, _: Event) {}
+    }
+
+    #[test]
+    fn sharded_quiesce_waits_for_the_latest_reserved_tick() {
+        // A ticker ending at 28 and a reservation at 100 past the last
+        // real event (10), serially and on two shards.
+        let ticker = || Ticker { name: "a".into(), fired: Rc::default(), remaining: 4, period: 7 };
+        let reserver = || Reserver { reserve_at: 100, real_at: 10 };
+        let mut serial = Simulation::new();
+        serial.add(Box::new(ticker()));
+        serial.add(Box::new(reserver()));
+        assert_eq!(serial.run(50, u64::MAX), RunOutcome::TimeLimit);
+        assert_eq!(serial.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(serial.now(), 100);
+
+        let mut s0 = Simulation::new();
+        s0.add(Box::new(ticker()));
+        s0.add_remote("reserver");
+        let mut s1 = Simulation::new();
+        s1.add_remote("a");
+        s1.add(Box::new(reserver()));
+        let plan = ShardPlan {
+            placements: vec![Placement::Shard(0), Placement::Shard(1)],
+            edges: vec![],
+            route_end: trivial_route,
+        };
+        let mut sharded = ShardedSimulator::new(vec![s0, s1], plan);
+        assert_eq!(sharded.run(50, u64::MAX), RunOutcome::TimeLimit, "100 lies past the limit");
+        assert_eq!(sharded.now(), 50);
+        assert_eq!(sharded.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(sharded.now(), 100);
+        assert_eq!(sharded.events_processed(), serial.events_processed());
     }
 
     /// A pair of components that volley a counter across a cut through

@@ -100,6 +100,31 @@ pub struct OutboundMsg {
     pub ev: Event,
 }
 
+/// A `(tick, order stamp)` slot minted by [`Ctx::reserve_stream`] for an
+/// event that is not queued yet. [`Ctx::fire_reserved`] later queues the
+/// event with exactly this key — unless the reservation has *lapsed*:
+/// dispatch has moved past the key, so the event would already have run.
+///
+/// A reservation stands for an event whose dispatch would do nothing
+/// unless its owner's state changes first (the link layer's TX kick after
+/// a frame with nothing queued behind it). The owner fires it the moment
+/// that state changes, so the event runs exactly where the eager schedule
+/// would have run it; a reservation that lapses unfired saves the queue
+/// push, the pop and the dispatch of a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reservation {
+    tick: Tick,
+    order: u64,
+}
+
+impl Reservation {
+    /// The tick the reserved event fires at.
+    #[inline]
+    pub fn tick(&self) -> Tick {
+        self.tick
+    }
+}
+
 /// Shared mutable simulation state reachable from nested dispatches.
 pub(crate) struct Shared {
     pub(crate) arena: Vec<RefCell<Option<Box<dyn Component>>>>,
@@ -118,6 +143,13 @@ pub(crate) struct Shared {
     /// Tick of the most recently dispatched event — the quiesce time of a
     /// drained shard, aggregated across shards by the sharded driver.
     pub(crate) last_event_tick: Cell<Tick>,
+    /// The largest `(tick, order)` key known to be dispatched: the keys
+    /// popped so far, and everything up to a time limit or window end once
+    /// a run stops there. A reservation at or below it has lapsed.
+    popped: Cell<(Tick, u64)>,
+    /// The latest tick of any reservation: the time a run would reach if
+    /// every reserved event had been queued and dispatched.
+    pub(crate) reserved_horizon: Cell<Tick>,
     /// Events bound for other shards, staged until the window barrier.
     pub(crate) outbox: RefCell<Vec<OutboundMsg>>,
     trace: Cell<bool>,
@@ -321,6 +353,43 @@ impl Ctx<'_> {
         let tick = self.now().saturating_add(delay);
         let order = self.shared.order_key(self.self_id.0, stream);
         self.shared.outbox.borrow_mut().push(OutboundMsg { edge, tick, order, ev });
+    }
+
+    /// Mints the order stamp [`Ctx::schedule_stream`]`(delay, stream, _)`
+    /// would mint, for an event at `now + delay`, but queues nothing. The
+    /// event is queued later, if at all, by [`Ctx::fire_reserved`]. Run
+    /// exits account for reserved ticks as if the events had been queued:
+    /// a run drains to the latest reserved tick, and stops at a time limit
+    /// that a reserved tick lies beyond.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic on a zero `delay`: a same-tick event may need to
+    /// dispatch before keys already popped, which a reservation cannot
+    /// tell from a lapse.
+    #[inline]
+    pub fn reserve_stream(&mut self, delay: Tick, stream: u8) -> Reservation {
+        debug_assert!(delay > 0, "reservations must lie in the future");
+        let tick = self.now().saturating_add(delay);
+        let order = self.shared.order_key(self.self_id.0, stream);
+        let horizon = &self.shared.reserved_horizon;
+        horizon.set(horizon.get().max(tick));
+        Reservation { tick, order }
+    }
+
+    /// Queues `ev` for this component under reservation `r`'s exact key,
+    /// so it dispatches exactly where the eager schedule would have put it.
+    /// Returns `false`, queueing nothing, when `r` has lapsed: its key is
+    /// at or below the largest key already dispatched (a time limit or
+    /// window end counts every key up to it as dispatched).
+    #[inline]
+    pub fn fire_reserved(&mut self, r: Reservation, ev: Event) -> bool {
+        if (r.tick, r.order) <= self.shared.popped.get() {
+            return false;
+        }
+        let action = Action { target: self.self_id, body: ActionBody::Event(ev) };
+        self.shared.queue.borrow_mut().push(r.tick, r.order, action);
+        true
     }
 
     /// Cancels an event previously scheduled by this component, returning
@@ -528,6 +597,8 @@ impl Simulation {
                 stop_requested: Cell::new(false),
                 events_processed: Cell::new(0),
                 last_event_tick: Cell::new(0),
+                popped: Cell::new((0, 0)),
+                reserved_horizon: Cell::new(0),
                 outbox: RefCell::new(Vec::new()),
                 trace: Cell::new(false),
                 tracer: Tracer::new(),
@@ -674,11 +745,62 @@ impl Simulation {
         self.shared.tracer.set_stamp(0);
     }
 
+    /// Runs [`Component::settle`] on every local component, so no
+    /// reservation is left outstanding (before a checkpoint).
+    pub(crate) fn settle_components(&mut self) {
+        for i in 0..self.shared.arena.len() {
+            if self.shared.arena[i].borrow().is_some() {
+                self.shared.with_component(ComponentId(i as u32), |c, ctx| c.settle(ctx));
+            }
+        }
+    }
+
+    /// Counts every key up to `(tick, u64::MAX)` as dispatched: reached
+    /// when a run stops at a time limit or window end, or drains.
+    pub(crate) fn mark_dispatched_through(&self, tick: Tick) {
+        let popped = &self.shared.popped;
+        popped.set(popped.get().max((tick, u64::MAX)));
+    }
+
+    /// Resets the reservation bookkeeping for a simulation restored at
+    /// `now`: a checkpoint holds no reservations (see
+    /// [`Component::settle`]).
+    pub(crate) fn mark_restored(&self, now: Tick) {
+        self.shared.popped.set((now, 0));
+        self.shared.reserved_horizon.set(now);
+    }
+
+    /// Stops a run at time limit `until`.
+    fn time_limit(&self, until: Tick) -> RunOutcome {
+        self.shared.now.set(until);
+        self.mark_dispatched_through(until);
+        RunOutcome::TimeLimit
+    }
+
+    /// The queue is empty. A reservation beyond `until` still stands for a
+    /// pending event, so the run stops at the time limit; otherwise time
+    /// advances to the latest reserved tick, where the last reserved event
+    /// would have dispatched.
+    fn drained(&self, until: Tick) -> RunOutcome {
+        let horizon = self.shared.reserved_horizon.get();
+        if horizon > until {
+            return self.time_limit(until);
+        }
+        if horizon > self.now() {
+            self.shared.now.set(horizon);
+            self.shared.last_event_tick.set(horizon);
+        }
+        self.mark_dispatched_through(self.now());
+        RunOutcome::QueueEmpty
+    }
+
     #[inline]
     fn dispatch(&self, tick: Tick, order: u64, action: Action) {
         debug_assert!(tick >= self.now(), "time went backwards");
         self.shared.now.set(tick);
         self.shared.last_event_tick.set(tick);
+        let popped = &self.shared.popped;
+        popped.set(popped.get().max((tick, order)));
         self.shared.events_processed.set(self.shared.events_processed.get() + 1);
         // Stamp the tracer so records emitted during this dispatch carry
         // the event's global order — the key that merges per-shard traces
@@ -708,20 +830,14 @@ impl Simulation {
                 let mut queue = self.shared.queue.borrow_mut();
                 if self.events_processed() >= budget_end {
                     match queue.next_tick() {
-                        None => return RunOutcome::QueueEmpty,
-                        Some(tick) if tick > until => {
-                            self.shared.now.set(until);
-                            return RunOutcome::TimeLimit;
-                        }
+                        None => return self.drained(until),
+                        Some(tick) if tick > until => return self.time_limit(until),
                         Some(_) => return RunOutcome::EventLimit,
                     }
                 }
                 match queue.pop_if_at_most(until) {
-                    Ok(None) => return RunOutcome::QueueEmpty,
-                    Err(_head) => {
-                        self.shared.now.set(until);
-                        return RunOutcome::TimeLimit;
-                    }
+                    Ok(None) => return self.drained(until),
+                    Err(_head) => return self.time_limit(until),
                     Ok(Some(popped)) => popped,
                 }
             };
@@ -750,6 +866,7 @@ impl Simulation {
             }
         }
         self.shared.now.set(end - 1);
+        self.mark_dispatched_through(end - 1);
     }
 
     /// Tick of the earliest queued event, if any — the sharded driver's
@@ -826,6 +943,7 @@ impl Simulation {
     /// partitioned run.
     pub fn checkpoint(&mut self) -> Vec<u8> {
         self.ensure_init();
+        self.settle_components();
         let mut body = StateWriter::new();
         body.u64(self.topology_fingerprint());
         body.u64(self.now());
@@ -918,6 +1036,7 @@ impl Simulation {
         *self.shared.queue.borrow_mut() = queue;
         self.shared.now.set(now);
         self.shared.last_event_tick.set(now);
+        self.mark_restored(now);
         *self.shared.pkt_counters.borrow_mut() = pkt_counters;
         *self.shared.push_counters.borrow_mut() = push_counters;
         self.shared.events_processed.set(events_processed);
@@ -1479,6 +1598,220 @@ mod tests {
         sim.add(Box::new(One { name: "z".into(), log: log.clone() }));
         sim.run_to_quiesce();
         assert_eq!(*log.borrow(), vec!["b".to_owned(), "z".to_owned()]);
+    }
+
+    const KICK: u32 = 1;
+    const WORK: u32 = 2;
+
+    /// One step of a [`Kicker`]'s `init`, run in script order.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Arm the kick `delay` ticks out: reserved, or (in the eager
+        /// twin) scheduled.
+        Kick(Tick),
+        /// Schedule a work timer `delay` ticks out; `true` makes it fire
+        /// the reserved kick.
+        Work(Tick, bool),
+    }
+
+    /// What a [`Kicker`] saw: every dispatch, and each `fire_reserved`
+    /// result.
+    #[derive(Default, Debug)]
+    struct KickLog {
+        dispatches: Vec<(Tick, &'static str, u32)>,
+        fires: Vec<bool>,
+    }
+
+    /// A toy with one kick that is either reserved or, in its eager twin,
+    /// scheduled outright, plus work timers that may fire the reservation.
+    struct Kicker {
+        name: &'static str,
+        reserve: bool,
+        script: Vec<Step>,
+        pending: Option<Reservation>,
+        log: Rc<RefCell<KickLog>>,
+    }
+
+    impl Kicker {
+        fn fire(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(r) = self.pending.take() {
+                let queued = ctx.fire_reserved(r, Event::Timer { kind: KICK, data: 0 });
+                self.log.borrow_mut().fires.push(queued);
+            }
+        }
+    }
+
+    impl Component for Kicker {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            for step in self.script.clone() {
+                match step {
+                    Step::Kick(delay) if self.reserve => {
+                        self.pending = Some(ctx.reserve_stream(delay, 0));
+                    }
+                    Step::Kick(delay) => {
+                        ctx.schedule(delay, Event::Timer { kind: KICK, data: 0 });
+                    }
+                    Step::Work(delay, fires) => {
+                        ctx.schedule(delay, Event::Timer { kind: WORK, data: u64::from(fires) });
+                    }
+                }
+            }
+        }
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            let Event::Timer { kind, data } = ev else { panic!() };
+            self.log.borrow_mut().dispatches.push((ctx.now(), self.name, kind));
+            ctx.emit(TraceCategory::Device, TraceKind::DmaRead, None, None, u64::from(kind));
+            if kind == WORK && data == 1 {
+                self.fire(ctx);
+            }
+        }
+        fn settle(&mut self, ctx: &mut Ctx<'_>) {
+            self.fire(ctx);
+        }
+    }
+
+    /// A simulation of one [`Kicker`] per script (component ids in script
+    /// order), all reserving or all eager, with tracing on.
+    fn kickers(reserve: bool, scripts: &[Vec<Step>]) -> (Simulation, Rc<RefCell<KickLog>>) {
+        const NAMES: [&str; 2] = ["k0", "k1"];
+        let log = Rc::new(RefCell::new(KickLog::default()));
+        let mut sim = Simulation::new();
+        sim.set_trace_mask(TraceCategory::ALL);
+        for (name, script) in NAMES.iter().zip(scripts) {
+            sim.add(Box::new(Kicker {
+                name,
+                reserve,
+                script: script.clone(),
+                pending: None,
+                log: log.clone(),
+            }));
+        }
+        (sim, log)
+    }
+
+    #[test]
+    fn reservation_fired_early_dispatches_where_its_eager_twin_does() {
+        // k0 reserves a kick at 100 and fires it from work at 50, after k1
+        // queued its own timer at 100. The kick must still dispatch first:
+        // its stamp was minted at reservation time.
+        let scripts = [vec![Step::Kick(100), Step::Work(50, true)], vec![Step::Work(100, false)]];
+        let (mut eager, eager_log) = kickers(false, &scripts);
+        let (mut reserved, reserved_log) = kickers(true, &scripts);
+        assert_eq!(eager.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(reserved.run_to_quiesce(), RunOutcome::QueueEmpty);
+        let want = vec![(50, "k0", WORK), (100, "k0", KICK), (100, "k1", WORK)];
+        assert_eq!(eager_log.borrow().dispatches, want);
+        assert_eq!(reserved_log.borrow().dispatches, want);
+        assert_eq!(reserved_log.borrow().fires, vec![true]);
+        assert_eq!(reserved.take_trace().events, eager.take_trace().events);
+        assert_eq!(reserved.now(), eager.now());
+        assert_eq!(reserved.events_processed(), eager.events_processed());
+    }
+
+    #[test]
+    fn reservation_above_the_dispatched_key_at_the_same_tick_is_queued() {
+        // The work event at 100 is stamped before the kick, so the kick is
+        // still ahead of it when the work fires it.
+        let scripts = [vec![Step::Work(100, true), Step::Kick(100)]];
+        let (mut eager, eager_log) = kickers(false, &scripts);
+        let (mut reserved, reserved_log) = kickers(true, &scripts);
+        eager.run_to_quiesce();
+        reserved.run_to_quiesce();
+        assert_eq!(reserved_log.borrow().fires, vec![true]);
+        assert_eq!(reserved_log.borrow().dispatches, eager_log.borrow().dispatches);
+        assert_eq!(reserved.events_processed(), 2);
+    }
+
+    #[test]
+    fn reservation_below_the_dispatched_key_at_the_same_tick_lapses() {
+        // The kick is stamped before the work event at the same tick: the
+        // eager kick has dispatched (as a no-op) by the time the work
+        // fires, so the reservation has lapsed and queues nothing.
+        let scripts = [vec![Step::Kick(100), Step::Work(100, true)]];
+        let (mut eager, eager_log) = kickers(false, &scripts);
+        let (mut reserved, reserved_log) = kickers(true, &scripts);
+        eager.run_to_quiesce();
+        reserved.run_to_quiesce();
+        assert_eq!(eager_log.borrow().dispatches, vec![(100, "k0", KICK), (100, "k0", WORK)]);
+        assert_eq!(reserved_log.borrow().dispatches, vec![(100, "k0", WORK)]);
+        assert_eq!(reserved_log.borrow().fires, vec![false]);
+        assert_eq!(reserved.pending_events(), 0);
+        assert_eq!(reserved.now(), eager.now());
+    }
+
+    #[test]
+    fn reservation_within_a_time_limit_lapses() {
+        // `run(150)` counts every key up to tick 150 as dispatched; the
+        // checkpoint's settle then finds the kick at 150 lapsed.
+        let (mut sim, log) = kickers(true, &[vec![Step::Kick(150), Step::Work(400, false)]]);
+        assert_eq!(sim.run(150, u64::MAX), RunOutcome::TimeLimit);
+        sim.checkpoint();
+        assert_eq!(log.borrow().fires, vec![false]);
+        assert_eq!(sim.pending_events(), 1, "only the work timer is queued");
+    }
+
+    #[test]
+    fn quiesce_waits_for_the_latest_reserved_tick() {
+        // The kick at 300 is never fired; the eager twin dispatches it as
+        // the last event, so both runs must quiesce at 300.
+        let scripts = [vec![Step::Kick(300), Step::Work(100, false)]];
+        let (mut eager, _) = kickers(false, &scripts);
+        let (mut reserved, _) = kickers(true, &scripts);
+        assert_eq!(eager.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(reserved.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(eager.now(), 300);
+        assert_eq!(reserved.now(), 300);
+        assert_eq!(reserved.last_event_tick(), 300);
+        assert_eq!(reserved.events_processed(), eager.events_processed() - 1);
+    }
+
+    #[test]
+    fn time_limit_holds_while_a_reserved_tick_lies_beyond_it() {
+        let scripts = [vec![Step::Kick(300), Step::Work(100, false)]];
+        let (mut eager, _) = kickers(false, &scripts);
+        let (mut reserved, _) = kickers(true, &scripts);
+        assert_eq!(eager.run(200, u64::MAX), RunOutcome::TimeLimit);
+        assert_eq!(reserved.run(200, u64::MAX), RunOutcome::TimeLimit);
+        assert_eq!(reserved.now(), 200);
+        // The budget counts dispatches only: a spent budget with only a
+        // reservation left behaves like a drained queue.
+        assert_eq!(reserved.run(250, 0), RunOutcome::TimeLimit);
+        assert_eq!(reserved.run(Tick::MAX, 0), RunOutcome::QueueEmpty);
+        assert_eq!(reserved.now(), 300);
+    }
+
+    #[test]
+    fn checkpoint_with_a_live_reservation_restores_bit_identically() {
+        // Paused at 200, the kick at 300 is live; work at 250 fires it.
+        let scripts = [vec![Step::Kick(300), Step::Work(100, false), Step::Work(250, true)]];
+        let (mut reference, ref_log) = kickers(true, &scripts);
+        assert_eq!(reference.run_to_quiesce(), RunOutcome::QueueEmpty);
+
+        let (mut paused, _) = kickers(true, &scripts);
+        assert_eq!(paused.run(200, u64::MAX), RunOutcome::TimeLimit);
+        let snap = paused.checkpoint();
+        // Settling queued the kick under its reserved key: the bytes are
+        // exactly the eager twin's.
+        let (mut eager, _) = kickers(false, &scripts);
+        assert_eq!(eager.run(200, u64::MAX), RunOutcome::TimeLimit);
+        assert_eq!(snap, eager.checkpoint());
+
+        let (mut resumed, resumed_log) = kickers(true, &scripts);
+        resumed.restore(&snap).expect("restore");
+        assert_eq!(resumed.run_to_quiesce(), RunOutcome::QueueEmpty);
+        let tail: Vec<_> =
+            ref_log.borrow().dispatches.iter().filter(|d| d.0 > 200).copied().collect();
+        assert_eq!(resumed_log.borrow().dispatches, tail);
+        assert_eq!(resumed.now(), reference.now());
+        assert_eq!(resumed.events_processed(), reference.events_processed());
+        assert_eq!(resumed.take_trace().events, reference.take_trace().events);
+        // The paused run itself continues identically, too.
+        assert_eq!(paused.run_to_quiesce(), RunOutcome::QueueEmpty);
+        assert_eq!(paused.now(), reference.now());
+        assert_eq!(paused.events_processed(), reference.events_processed());
     }
 
     #[test]

@@ -159,6 +159,60 @@ proptest! {
         prop_assert!(model.is_empty());
     }
 
+    /// Bursts of hundreds of pushes into the open window in descending
+    /// `(tick, order)` order — each one lands before every pending key, so
+    /// in-place insertion would shift the whole run and the fallback heap
+    /// must take over — mixed with cancels and pops, against the same
+    /// reference model.
+    #[test]
+    fn calendar_open_window_bursts_match_reference_model(
+        bursts in proptest::collection::vec((1u64..400, any::<u64>()), 1..6),
+    ) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        use pcisim_kernel::calendar::{CalendarQueue, EventHandle, BUCKET_BITS};
+
+        let mut queue: CalendarQueue<u64> = CalendarQueue::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut handles: Vec<EventHandle> = Vec::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for &(len, mix) in &bursts {
+            // Every tick of the burst falls in `now`'s (open) window.
+            let room = (((now >> BUCKET_BITS) + 1) << BUCKET_BITS) - now;
+            for j in 0..len {
+                let tick = now + (len - 1 - j) * room / len;
+                let order = seq + len - 1 - j;
+                handles.push(queue.push(tick, order, order));
+                model.push(Reverse((tick, order)));
+                if (mix >> (j % 64)) & 1 == 1 && j % 3 == 0 {
+                    let h = handles.swap_remove((mix.rotate_left(j as u32) % handles.len() as u64) as usize);
+                    if let Some(order) = queue.cancel(h) {
+                        model.retain(|&Reverse((_, o))| o != order);
+                    }
+                }
+            }
+            seq += len;
+            for _ in 0..mix % (len + 1) {
+                let got = queue.pop_stamped().map(|(t, o, v)| {
+                    assert_eq!(o, v);
+                    (t, o)
+                });
+                let want = model.pop().map(|Reverse(k)| k);
+                prop_assert_eq!(got, want);
+                if let Some((t, _)) = got {
+                    now = t;
+                }
+            }
+            prop_assert_eq!(queue.len(), model.len());
+        }
+        while let Some((t, o, _)) = queue.pop_stamped() {
+            let Reverse(want) = model.pop().expect("model tracks len");
+            prop_assert_eq!((t, o), want);
+        }
+        prop_assert!(model.is_empty());
+    }
+
     /// Completions from a FIFO pipeline preserve issue order.
     #[test]
     fn bridge_preserves_order(n in 1u64..48, cap in 1usize..6) {

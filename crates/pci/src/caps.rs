@@ -313,26 +313,33 @@ impl CapChain {
 /// One hop of a capability walk: `(offset, capability id)`.
 pub type CapEntry = (u16, u8);
 
-/// Walks the capability chain of `cs` starting at the header Cap Ptr,
-/// mirroring what enumeration software and drivers do.
+/// Iterates the capability chain of `cs` starting at the header Cap Ptr,
+/// mirroring what enumeration software and drivers do, without
+/// allocating.
 ///
 /// Stops after 48 hops to survive corrupted (cyclic) chains.
-pub fn walk_capabilities(cs: &ConfigSpace) -> Vec<CapEntry> {
-    let mut out = Vec::new();
+pub fn capabilities(cs: &ConfigSpace) -> impl Iterator<Item = CapEntry> + '_ {
     let mut ptr = cs.read(crate::regs::common::CAP_PTR, 1) as u16 & 0xfc;
     let mut hops = 0;
-    while ptr >= 0x40 && hops < 48 {
-        let id = cs.read(ptr, 1) as u8;
-        out.push((ptr, id));
+    std::iter::from_fn(move || {
+        if ptr < 0x40 || hops == 48 {
+            return None;
+        }
+        let entry = (ptr, cs.read(ptr, 1) as u8);
         ptr = cs.read(ptr + 1, 1) as u16 & 0xfc;
         hops += 1;
-    }
-    out
+        Some(entry)
+    })
+}
+
+/// The whole capability chain of `cs`; see [`capabilities`].
+pub fn walk_capabilities(cs: &ConfigSpace) -> Vec<CapEntry> {
+    capabilities(cs).collect()
 }
 
 /// Finds the offset of the first capability with `id`, if present.
 pub fn find_capability(cs: &ConfigSpace, id: u8) -> Option<u16> {
-    walk_capabilities(cs).into_iter().find(|&(_, cid)| cid == id).map(|(off, _)| off)
+    capabilities(cs).find(|&(_, cid)| cid == id).map(|(off, _)| off)
 }
 
 /// Writes a PCI-Express extended capability header at `offset` in the
@@ -468,8 +475,7 @@ pub type VendorStructure = (u8, u8, u32, u32, Option<u32>);
 /// Parses every vendor-specific capability in the chain into structure
 /// locators, in chain order (what a virtio driver does at probe).
 pub fn vendor_structures(cs: &ConfigSpace) -> Vec<VendorStructure> {
-    walk_capabilities(cs)
-        .into_iter()
+    capabilities(cs)
         .filter(|&(_, id)| id == cap_id::VENDOR_SPECIFIC)
         .map(|(off, _)| {
             let cap_len = cs.read(off + vendor_cap::CAP_LEN, 1) as u8;

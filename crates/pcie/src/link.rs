@@ -46,7 +46,7 @@ use std::collections::VecDeque;
 use pcisim_kernel::component::{Component, Event, PortId, RecvResult};
 use pcisim_kernel::packet::{decode_packet_queue, encode_packet_queue, Packet};
 use pcisim_kernel::shard::QueuedFor;
-use pcisim_kernel::sim::Ctx;
+use pcisim_kernel::sim::{Ctx, Reservation};
 use pcisim_kernel::snapshot::{SnapshotError, StateReader, StateWriter};
 use pcisim_kernel::stats::{Counter, Histogram, StatsBuilder};
 use pcisim_kernel::tick::{to_ns, Tick};
@@ -304,7 +304,11 @@ struct EndState {
     /// the peer wire's TLPs).
     pending_dllps: VecDeque<Dllp>,
     wire_busy_until: Tick,
+    /// A TX kick is outstanding: queued, or held in `kick_reserved`.
     kick_scheduled: bool,
+    /// The outstanding kick, when it was reserved rather than queued
+    /// because nothing waited to transmit (see [`LinkEnd::pump`]).
+    kick_reserved: Option<Reservation>,
     replay_armed: bool,
     /// Lazy replay timer: the tick the armed timeout is due. Re-arming on
     /// an ACK only moves this deadline; at most one timer event is
@@ -345,6 +349,7 @@ impl EndState {
             pending_dllps: VecDeque::new(),
             wire_busy_until: 0,
             kick_scheduled: false,
+            kick_reserved: None,
             replay_armed: false,
             replay_deadline: 0,
             replay_timer_outstanding: false,
@@ -495,11 +500,40 @@ impl LinkEnd {
         self.pump(ctx);
     }
 
+    /// Whether a DLLP or TLP waits for this end's wire.
+    fn tx_waiting(&self) -> bool {
+        !self.st.pending_dllps.is_empty() || self.st.tx.next_to_transmit_ref().is_some()
+    }
+
+    fn kick_event(&self) -> Event {
+        Event::Timer { kind: K_TX_KICK + self.tx_dir() as u32, data: 0 }
+    }
+
+    /// Queues a reserved TX kick under its reserved key, or forgets it
+    /// when it has lapsed (it would have dispatched as a no-op already).
+    fn settle(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(r) = self.st.kick_reserved.take() {
+            self.st.kick_scheduled = ctx.fire_reserved(r, self.kick_event());
+        }
+    }
+
     /// The transmission engine: one frame per iteration while the wire is
     /// free, priority ACK/NAK > replayed TLPs > new TLPs. After every
     /// frame a TX kick is left at the wire-free tick, so transmission
     /// resumes without any help from the (possibly remote) receiving end.
+    ///
+    /// A kick left while nothing waits to transmit would find nothing to
+    /// do unless a frame is queued first, and every such change re-enters
+    /// `pump`. So that kick is only reserved, and fired here on the first
+    /// entry that sees a frame waiting — or that has reached the kick's
+    /// tick, when the kick has either dispatched already (lapsed) or is
+    /// next at this very tick.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(r) = self.st.kick_reserved {
+            if ctx.now() >= r.tick() || self.tx_waiting() {
+                self.settle(ctx);
+            }
+        }
         loop {
             let now = ctx.now();
             let prop = self.config.propagation_delay;
@@ -507,8 +541,11 @@ impl LinkEnd {
                 if !self.st.kick_scheduled {
                     self.st.kick_scheduled = true;
                     let delay = self.st.wire_busy_until - now;
-                    let kind = K_TX_KICK + self.tx_dir() as u32;
-                    ctx.schedule_stream(delay, self.end, Event::Timer { kind, data: 0 });
+                    if self.tx_waiting() {
+                        ctx.schedule_stream(delay, self.end, self.kick_event());
+                    } else {
+                        self.st.kick_reserved = Some(ctx.reserve_stream(delay, self.end));
+                    }
                 }
                 return;
             }
@@ -1001,6 +1038,7 @@ impl LinkEnd {
 
     fn save(&self, w: &mut StateWriter) {
         let st = &self.st;
+        debug_assert!(st.kick_reserved.is_none(), "{}: saved before settle", self.name);
         st.tx.encode(w);
         w.usize(st.pending_dllps.len());
         for dllp in &st.pending_dllps {
@@ -1037,6 +1075,7 @@ impl LinkEnd {
         st.pending_dllps = dllps;
         st.wire_busy_until = r.u64()?;
         st.kick_scheduled = r.bool()?;
+        st.kick_reserved = None;
         st.replay_armed = r.bool()?;
         st.replay_deadline = r.u64()?;
         st.replay_timer_outstanding = r.bool()?;
@@ -1143,6 +1182,12 @@ impl Component for PcieLink {
         self.ends[end].retry_granted(ctx);
     }
 
+    fn settle(&mut self, ctx: &mut Ctx<'_>) {
+        for end in &mut self.ends {
+            end.settle(ctx);
+        }
+    }
+
     fn report_stats(&self, out: &mut StatsBuilder) {
         for end in &self.ends {
             end.report(out);
@@ -1243,6 +1288,10 @@ impl Component for PcieLinkHalf {
             self.name()
         );
         self.end.retry_granted(ctx);
+    }
+
+    fn settle(&mut self, ctx: &mut Ctx<'_>) {
+        self.end.settle(ctx);
     }
 
     fn report_stats(&self, out: &mut StatsBuilder) {

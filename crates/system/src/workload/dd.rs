@@ -141,9 +141,11 @@ impl DdApp {
 
     fn mmio_write(&mut self, ctx: &mut Ctx<'_>, offset: u64, value: u32) {
         let id = ctx.alloc_packet_id();
+        let mut payload = ctx.alloc_payload(4);
+        payload.copy_from_slice(&value.to_le_bytes());
         let pkt =
             Packet::request(id, Command::WriteReq, self.config.disk_bar + offset, 4, ctx.self_id())
-                .with_payload(value.to_le_bytes().to_vec());
+                .with_payload(payload);
         if let Err(back) = ctx.try_send_request(DD_MEM_PORT, pkt) {
             self.stalled = Some(back);
         }
